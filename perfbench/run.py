@@ -30,7 +30,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_REPEATS = 5
+SETUP_REPEATS = 11
 SETUP_TIMEOUT_S = 120
 
 
@@ -57,26 +57,34 @@ def _commit() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+def _spawn(cmd):
+    proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
+    # wait() with a timeout polls in steps of up to 50 ms, which would
+    # quantize the measurement; a timer kills a hung child instead
+    killer = threading.Timer(SETUP_TIMEOUT_S, proc.kill)
+    killer.start()
+    try:
+        code = proc.wait()
+    finally:
+        killer.cancel()
+    if code != 0:
+        raise subprocess.CalledProcessError(code, cmd)
+
+
 def _setup_seconds(workload: str, seed: int) -> list:
-    """Wall time of fresh processes that import f5gb and build the inputs."""
+    """Scaled wall time of fresh processes that import f5gb and build the inputs."""
+    from hostspeed import HostSpeed
+
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-only",
            "--workload", workload, "--seed", str(seed)]
-    times = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
-        # wait() with a timeout polls in steps of up to 50 ms, which would
-        # quantize the measurement; a timer kills a hung child instead
-        killer = threading.Timer(SETUP_TIMEOUT_S, proc.kill)
-        killer.start()
-        try:
-            code = proc.wait()
-        finally:
-            killer.cancel()
-        times.append(time.perf_counter() - t0)
-        if code != 0:
-            raise subprocess.CalledProcessError(code, cmd)
-    return times
+    intervals = []
+    with HostSpeed() as host:
+        for _ in range(SETUP_REPEATS):
+            t0 = time.perf_counter()
+            _spawn(cmd)
+            intervals.append((t0, time.perf_counter()))
+        host.settle(intervals[-1][1])
+    return [host.scale(t0, t1) for t0, t1 in intervals]
 
 
 def _untraced(ctx, seconds: float):
@@ -227,7 +235,7 @@ def per_layer_metrics(plain, traced, tr, cn) -> dict:
     put("variants.engine_sigcore.self_s",
         sum(s for k, s in in_variants.items() if k.startswith(("engine.", "sigcore."))), "s")
     put("variants.reduce_full.self_s", in_variants.get("algebra.reduce_full", 0.0), "s")
-    put("trace.self_coverage", _ratio(sum(selfs), traced.wall), "ratio")
+    put("trace.self_coverage", _ratio(sum(selfs), traced.raw_wall), "ratio")
     put("trace.overhead_ratio", _ratio(traced.wall, plain.wall), "ratio")
     return m
 
@@ -244,6 +252,9 @@ def main(argv=None) -> int:
     _import_library()
     sys.path.insert(0, str(HERE))
     import workloads
+    from hostspeed import pin_to_one_cpu
+
+    pin_to_one_cpu()
 
     if args.pin:
         with open(workloads.REFERENCE_FILE, "w") as fh:

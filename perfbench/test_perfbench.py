@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ sys.path.insert(0, str(HERE))
 
 import pytest  # noqa: E402
 
+import hostspeed  # noqa: E402
 import run  # noqa: E402
 import tracer as tracer_mod  # noqa: E402
 import workloads  # noqa: E402
@@ -89,7 +91,7 @@ def test_self_times_of_each_span_tree_add_up_to_its_root(ctx):
     for root, total in per_root.items():
         assert tr.span_parent[root] == -1
         assert total == pytest.approx(dur[root], rel=1e-9, abs=1e-12)
-    assert sum(selfs) <= res.wall
+    assert sum(selfs) <= res.raw_wall
 
 
 def test_wrong_reference_digest_is_a_failure(ctx):
@@ -140,9 +142,25 @@ def test_metrics_match_benchmark_json(ctx, tmp_path, monkeypatch):
     assert {k: unit for k, (_, unit) in metrics.items()} == end_to_end
 
 
+def test_host_speed_scales_the_kernel_to_its_reference_time():
+    # the main thread runs the kernel itself: scaled, each run is worth about REFERENCE_S
+    with hostspeed.HostSpeed() as host:
+        t0 = time.perf_counter()
+        runs = 0
+        while time.perf_counter() - t0 < 0.5:
+            hostspeed.kernel()
+            runs += 1
+        t1 = time.perf_counter()
+        host.settle(t1)
+        scaled = host.scale(t0, t1)
+    assert not host._thread.is_alive()
+    assert len(host.starts) > 5
+    assert scaled == pytest.approx(runs * hostspeed.REFERENCE_S, rel=0.35)
+
+
 def test_refuses_to_run_without_the_library(tmp_path):
     (tmp_path / "perfbench").mkdir()
-    for f in ("run.py", "workloads.py", "tracer.py"):
+    for f in ("run.py", "workloads.py", "tracer.py", "hostspeed.py"):
         (tmp_path / "perfbench" / f).write_text((HERE / f).read_text())
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "cyclic-6", "--seed", "1",

@@ -7,6 +7,9 @@ groebner_check returns False.  The reference is the pinned digest at the
 default seed; at any other seed it is the oracle's basis (computed in the
 pass for the plain workloads, in set-up for the certified one).
 
+Every call and check of a pass is timed, and its time is scaled by the host
+speed measured around it (see hostspeed.py).
+
 Entry points are looked up on ``f5gb.drivers`` at call time, so a tracer that
 replaced them sees the calls.
 """
@@ -26,6 +29,7 @@ import f5gb.drivers as drivers
 from f5gb.algebra import is_prime
 from f5gb.drivers import VariantConfig
 from f5gb.bench import cyclic, katsura
+from hostspeed import HostSpeed
 
 DEFAULT_SEED = 0
 PAPER_PRIME = 32003
@@ -153,28 +157,45 @@ class NullProbe:
 
 @dataclass
 class PassResult:
-    times: dict = field(default_factory=dict)  # metric -> seconds per round, summed over systems
-    wall: float = 0.0
+    times: dict = field(default_factory=dict)  # metric -> scaled seconds per round, summed over systems
+    wall: float = 0.0  # scaled seconds of every call and check of the pass
+    raw_wall: float = 0.0  # the same, unscaled and with the host-speed kernel's time in it
     attempted: int = 0
     failures: list = field(default_factory=list)
     digests: dict = field(default_factory=dict)  # (system, call) -> digest
     counters: dict = field(default_factory=dict)  # (system, variant) -> counters
     verified: list = field(default_factory=list)  # bases given to groebner_check
+    intervals: list = field(default_factory=list, repr=False)  # (metric or None, round, start, end)
+
+    def segment(self, fn, *args, metric=None, rnd=0):
+        """fn(*args), its interval kept for metric in round rnd and for the wall."""
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self.intervals.append((metric, rnd, t0, time.perf_counter()))
 
     def timed(self, metric, rnd, fn, *args):
         """Call fn, adding its time to metric in round rnd; a raising call is a failure."""
         self.attempted += 1
-        t0 = time.perf_counter()
         try:
-            out = fn(*args)
+            return self.segment(fn, *args, metric=metric, rnd=rnd)
         except Exception:  # the pass goes on; the failure is counted and reported
             self.failures.append(f"{metric}: raised\n{traceback.format_exc()}")
             return None
-        dt = time.perf_counter() - t0
-        samples = self.times.setdefault(metric, [])
-        samples.extend([0.0] * (rnd + 1 - len(samples)))
-        samples[rnd] += dt
-        return out
+
+    def finish(self, host: HostSpeed):
+        """Scale every interval by the host speed around it; sum into times and wall."""
+        if self.intervals:
+            host.settle(self.intervals[-1][3])
+        for metric, rnd, t0, t1 in self.intervals:
+            scaled = host.scale(t0, t1)
+            self.raw_wall += t1 - t0
+            self.wall += scaled
+            if metric is not None:
+                samples = self.times.setdefault(metric, [])
+                samples.extend([0.0] * (rnd + 1 - len(samples)))
+                samples[rnd] += scaled
 
     def record_counters(self, key, counters):
         if self.counters.setdefault(key, counters) != counters:
@@ -191,10 +212,16 @@ def _check_basis(res, what, basis, expected):
 def run_pass(ctx: Context, probe=None) -> PassResult:
     """Run every call of the workload once; time, check and record it."""
     probe = probe or NullProbe()
-    w = ctx.workload
     res = PassResult()
     gc.collect()
-    start = time.perf_counter()
+    with HostSpeed() as host:
+        _calls(ctx, probe, res)
+        res.finish(host)
+    return res
+
+
+def _calls(ctx: Context, probe, res: PassResult):
+    w = ctx.workload
     for rnd in range(w.rounds):
         for name, F in ctx.systems.items():
             pinned = ctx.pinned.get(name, {})
@@ -203,7 +230,7 @@ def run_pass(ctx: Context, probe=None) -> PassResult:
             reference = ctx.references.get(name, oracle)
             expected = pinned.get("basis") or (digest(reference) if reference is not None else None)
             if oracle is not None:
-                _check_basis(res, (name, "oracle"), oracle, expected)
+                res.segment(_check_basis, res, (name, "oracle"), oracle, expected)
             for v in VARIANTS:
                 cfg = VariantConfig(variant=v, certified=w.certified)
                 probe.scope = v
@@ -214,7 +241,7 @@ def run_pass(ctx: Context, probe=None) -> PassResult:
                         basis = out.basis if out.reduced else drivers.interreduce(out.basis)
                         _check_basis(res, (name, v), basis, expected)
 
-                    probe.spanned("bench.check", check)()
+                    res.segment(probe.spanned("bench.check", check))
                     res.record_counters((name, v), counters_of(out.stats))
                     if rnd == 0 and v in w.verify:
                         res.verified.append(out.basis)
@@ -226,8 +253,6 @@ def run_pass(ctx: Context, probe=None) -> PassResult:
         if ok is False:
             res.failures.append(f"groebner_check returned False on a {len(basis)}-element basis")
         probe.end_call()
-    res.wall = time.perf_counter() - start
-    return res
 
 
 def counter_drift(ctx: Context, res: PassResult) -> list:
