@@ -46,9 +46,9 @@ print("every intermediate labeled polynomial passed its admissibility check")
 # the rewrite-rule table after one iteration, seen from the engine
 engine = F5Engine(hring, stats=RunStats("f5", 32003, "grevlex"))
 fs = sorted(F, key=lambda f: (f.degree(), f.lt_key()))
-engine.store.append(Signature(hring, hring.unit_key, 1), fs[0])
+engine.store.add_input(fs[0])
 engine.begin_iteration(2)
-engine.store.append(Signature(hring, hring.unit_key, 2), fs[1])
+engine.store.add_input(fs[1])
 engine.incremental_basis(2, PrevBasis(hring, [fs[0]]), [1])
 print("\nrewrite rules recorded for signature index 2:")
 for mono, idx in engine.rules.rules_for(2):

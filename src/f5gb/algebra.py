@@ -677,45 +677,17 @@ def normal_form(p: Polynomial, G, stats=None) -> Polynomial:
     return ReducerSet(p.ring, live).reduce_full(p, stats=stats)
 
 
-def _autoreduce(G, want_cofactors: bool):
-    """Fixpoint interreduction core; cofactors are over the input positions."""
-    if not G:
-        return [], []
-    ring = G[0].ring
-    live = []  # (poly, cof) with cof a {input position: Polynomial} map
-    for i, g in enumerate(G):
-        if g:
-            inv = ring.field.inv(g.lc())
-            live.append((g.monic(), {i: ring.constant(inv)} if want_cofactors else None))
+def _autoreduce(G):
+    """Fixpoint interreduction: interreduce's fallback for non-Groebner input."""
+    live = [g.monic() for g in G if g]
     changed = True
     while changed:
         changed = False
-        live.sort(key=lambda t: t[0].lt_key())
+        live.sort(key=lambda g: g.lt_key())
         pos = 0
         while pos < len(live):
-            g, cof = live[pos]
-            others = [t[0] for j, t in enumerate(live) if j != pos]
-            if want_cofactors:
-                reducers = ReducerSet(ring, others)
-                quotients = [dict() for _ in reducers.polys]
-                r = reducers.reduce_full(g, quotients=quotients)
-                if r != g:
-                    new_cof = dict(cof)
-                    for qmap, other in zip(quotients, reducers.polys):
-                        if not qmap:
-                            continue
-                        q = Polynomial(ring, tuple(sorted(qmap.items(), reverse=True)))
-                        ocof = next(t[1] for t in live if t[0] is other)
-                        for src, c in ocof.items():
-                            delta = q * c
-                            cur = new_cof.get(src, ring.zero) - delta
-                            if cur:
-                                new_cof[src] = cur
-                            else:
-                                new_cof.pop(src, None)
-                    cof = new_cof
-            else:
-                r = normal_form(g, others)
+            g = live[pos]
+            r = normal_form(g, live[:pos] + live[pos + 1:])
             if r == g:
                 pos += 1
                 continue
@@ -723,13 +695,53 @@ def _autoreduce(G, want_cofactors: bool):
             if r.is_zero():
                 live.pop(pos)
             else:
-                inv = ring.field.inv(r.lc())
-                if want_cofactors and inv != 1:
-                    cof = {src: c.scale(inv) for src, c in cof.items()}
-                live[pos] = (r.monic(), cof)
+                live[pos] = r.monic()
                 pos += 1
-    live.sort(key=lambda t: t[0].lt_key())
-    return [t[0] for t in live], [t[1] for t in live]
+    live.sort(key=lambda g: g.lt_key())
+    return live
+
+
+def _reduce_tails(G, with_quotients: bool):
+    """Head minimization, then tail reduction against one shared ReducerSet.
+
+    Returns (kept, result, quotients, clean).  kept lists (monic element,
+    input position) with pairwise indivisible heads, ascending; result[i] is
+    kept[i] with its tail fully reduced; quotients[i] holds that reduction's
+    reduce_full quotient maps, aligned with kept (None unless with_quotients).
+    clean is False when an element dropped by head minimization does not
+    reduce to zero against the result, which means G is no Groebner basis.
+    """
+    live = sorted(
+        ((g.monic(), i) for i, g in enumerate(G) if g), key=lambda t: t[0].lt_key()
+    )
+    if not live:
+        return [], [], [], True
+    ring = live[0][0].ring
+    # head minimization: for a Groebner basis, elements whose head another
+    # head divides reduce to zero against the rest and can be dropped
+    kept = []
+    dropped = []
+    for g, i in live:
+        if any(monomial_divides(h.lt(), g.lt()) for h, _ in kept):
+            dropped.append(g)
+        else:
+            kept.append((g, i))
+    # tail reduction against one shared reducer set: heads are pairwise
+    # indivisible, so only tail monomials ever reduce, and any fixpoint with
+    # these heads is the canonical reduced basis
+    shared = ReducerSet(ring, [g for g, _ in kept])
+    result = []
+    quotients = []
+    for g, _ in kept:
+        q = [dict() for _ in kept] if with_quotients else None
+        reduced_tail = shared.reduce_full(Polynomial(ring, g.terms[1:]), quotients=q)
+        result.append(Polynomial(ring, g.terms[:1] + reduced_tail.terms))
+        quotients.append(q)
+    clean = True
+    if dropped:
+        verifier = ReducerSet(ring, result)
+        clean = not any(verifier.reduce_full(d) for d in dropped)
+    return kept, result, quotients, clean
 
 
 def interreduce(G):
@@ -738,48 +750,34 @@ def interreduce(G):
     Every output is monic, no monomial of any element is divisible by the
     head of another, and the result is sorted ascending by head monomial.
     Zero polynomials are dropped.  Uniqueness holds when G is a Groebner
-    basis of its ideal (the caller's obligation).
+    basis of its ideal (the caller's obligation); other input falls back to
+    a fixpoint interreduction.
     """
-    live = sorted((g.monic() for g in G if g), key=lambda g: g.lt_key())
-    if not live:
-        return []
-    ring = live[0].ring
-    # head minimization: for a Groebner basis, elements whose head another
-    # head divides reduce to zero against the rest and can be dropped
-    kept = []
-    dropped = []
-    for g in live:
-        if any(monomial_divides(h.lt(), g.lt()) for h in kept):
-            dropped.append(g)
-        else:
-            kept.append(g)
-    # tail reduction against one shared reducer set: heads are pairwise
-    # indivisible, so only tail monomials ever reduce, and any fixpoint with
-    # these heads is the canonical reduced basis
-    shared = ReducerSet(ring, kept)
-    result = []
-    for g in kept:
-        head = g.terms[:1]
-        tail = Polynomial(ring, g.terms[1:])
-        reduced_tail = shared.reduce_full(tail)
-        result.append(Polynomial(ring, head + reduced_tail.terms))
-    # the fast path assumed a Groebner basis; if a dropped element fails to
-    # vanish against the result, rebuild via the general fixpoint instead
-    if dropped:
-        verifier = ReducerSet(ring, result)
-        if any(verifier.reduce_full(d) for d in dropped):
-            outputs, _ = _autoreduce(list(G), want_cofactors=False)
-            return outputs
-    return result
+    _, result, _, clean = _reduce_tails(G, with_quotients=False)
+    return result if clean else _autoreduce(G)
 
 
 def interreduce_with_cofactors(G):
     """interreduce plus, per output, a {input position: Polynomial} combination.
 
     Each output equals sum(cof[i] * G[i]); used by certified-mode runs to
-    carry module representations through the interreduction.
+    carry module representations through the interreduction.  G must be a
+    Groebner basis: other input raises ValueError.
     """
-    return _autoreduce(list(G), want_cofactors=True)
+    kept, result, quotients, clean = _reduce_tails(G, with_quotients=True)
+    if not clean:
+        raise ValueError("interreduce_with_cofactors needs a Groebner basis")
+    # kept[j] = G[i_j] / lc(G[i_j]), and output a = kept[a] - sum_j q_aj * kept[j]
+    invs = [g.ring.field.inv(G[i].lc()) for g, i in kept]
+    combos = []
+    for (g, i), inv, qmaps in zip(kept, invs, quotients):
+        combo = {i: g.ring.constant(inv)}
+        for (_, j), inv_j, qmap in zip(kept, invs, qmaps):
+            if qmap:
+                q = Polynomial(g.ring, tuple(sorted(qmap.items(), reverse=True)))
+                combo[j] = q.scale(-inv_j)
+        combos.append(combo)
+    return result, combos
 
 
 def homogenize(polys, var: str = "h"):

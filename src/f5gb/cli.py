@@ -353,6 +353,9 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if args.skip_rule_rebuild and args.algorithm != "f5c":
+        print("f5gb: error: --skip-rule-rebuild applies to --algorithm f5c only", file=stderr)
+        return EXIT_USAGE
     if args.command == "run":
         return _cmd_run(args, stdout, stderr)
     return _cmd_bench(args, stdout, stderr)

@@ -16,7 +16,7 @@ engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     NonHomogeneousError,
@@ -32,7 +32,7 @@ from .algebra import (
     spoly,
 )
 from .engine import F5Engine, PrevBasis, RunStats
-from .sigcore import Signature
+from .sigcore import Signature, compose_cofactors
 
 VARIANTS = ("f5", "f5r", "f5c")
 
@@ -79,44 +79,21 @@ def _prepare_inputs(F, variant: str):
     return ring, [f.monic() for f in fs]
 
 
-def _unit_vector(ring, length, position):
-    out = [ring.zero] * length
-    out[position] = ring.one
-    return out
-
-
-def _compose_cofactors(ring, combos, input_cofs):
-    """Cofactors of interreduced outputs, given the inputs' own cofactors."""
-    out = []
-    for combo in combos:
-        width = len(input_cofs[0])
-        acc = [ring.zero] * width
-        for src, q in combo.items():
-            for m, c in enumerate(input_cofs[src]):
-                if c and q:
-                    acc[m] = acc[m] + q * c
-        out.append(acc)
-    return out
-
-
 def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False):
     """Swap the store's contents for the interreduced basis of curr.
 
-    The store is reset to (e_j, B_j) for the reduced basis B, the rule table
-    is cleared, and (unless skip_rule_rebuild) each Rules_j receives one
-    phantom rule per smaller index, recording that the S-polynomials of B
-    already reduce to zero.  Returns the new index set 1..#B.
+    The store is reset to (e_j, B_j) for the reduced basis B, which becomes
+    the reference system; the rule table is cleared, and (unless
+    skip_rule_rebuild) each Rules_j receives one phantom rule per smaller
+    index, recording that the S-polynomials of B already reduce to zero.
+    Returns the new index set 1..#B.
     """
     ring = engine.ring
-    B = interreduce([engine.store.poly(k) for k in curr])
-    certified = engine.certified
-    if certified:
-        engine.store.reference_system = list(B)
-    labeled = []
-    for j, b in enumerate(B):
-        cof = _unit_vector(ring, len(B), j) if certified else None
-        labeled.append((Signature(ring, ring.unit_key, j + 1), b, cof))
-    engine.store.reset(labeled)
+    store = engine.store
+    B = interreduce([store.poly(k) for k in curr])
+    store.reset()
+    for b in B:
+        store.add_input(b)
     engine.rules.reset(len(B))
     if not skip_rule_rebuild:
         heads = [b.lt() for b in B]
@@ -128,38 +105,25 @@ def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False)
     return list(range(1, len(B) + 1))
 
 
-def _extend_reference(engine: F5Engine, f):
-    """Grow the certified reference system by one input polynomial."""
-    ring = engine.ring
-    ref = engine.store.reference_system
-    ref.append(f)
-    for entry in engine.store.entries():
-        entry.cofactors = entry.cofactors + [ring.zero]
-
-
 def _prev_bundle(engine: F5Engine, variant: str, prev_indices):
     """Build the PrevBasis a new iteration reduces against."""
     ring = engine.ring
     store = engine.store
-    raw = [store.poly(k) for k in prev_indices]
+    polys = [store.poly(k) for k in prev_indices]
+    cofs = [store.entry(k).cofactors for k in prev_indices]
     if variant == "f5r":
-        if engine.certified:
-            reduced, combos = interreduce_with_cofactors(raw)
-            cofs = _compose_cofactors(
-                ring, combos, [store.entry(k).cofactors for k in prev_indices]
-            )
-            return PrevBasis(ring, reduced, cofs)
-        return PrevBasis(ring, interreduce(raw))
-    cofs = (
-        [store.entry(k).cofactors for k in prev_indices] if engine.certified else None
-    )
-    return PrevBasis(ring, raw, cofs)
+        if store.certified:
+            polys, combos = interreduce_with_cofactors(polys)
+            cofs = [compose_cofactors(ring, combo, cofs) for combo in combos]
+        else:
+            polys = interreduce(polys)
+    return PrevBasis(ring, polys, cofs)
 
 
-def _drive(F, config: VariantConfig, trace=None) -> BasisResult:
+def run_variant(F, config: VariantConfig, trace=None) -> BasisResult:
+    """Run the signature-based variant config.variant on the system F."""
     variant = config.variant
     ring, fs = _prepare_inputs(F, variant)
-    m = len(fs)
     stats = RunStats(algorithm=variant, char=ring.p, order=ring.order.kind)
     engine = F5Engine(
         ring,
@@ -168,92 +132,49 @@ def _drive(F, config: VariantConfig, trace=None) -> BasisResult:
         trace=trace,
         stats=stats,
     )
-    if config.certified:
-        engine.store.reference_system = (
-            list(fs) if variant != "f5c" else [fs[0]]
-        )
-    width = m if variant != "f5c" else 1
-    engine.store.append(
-        Signature(ring, ring.unit_key, 1),
-        fs[0],
-        _unit_vector(ring, width, 0) if config.certified else None,
-    )
-    prev_indices = [1]
-
-    def finish(basis, reduced):
-        stats.basis_size_final = len(basis)
-        if trace is not None:
-            engine.emit("")
-            engine.emit(f"number of zero reductions: {stats.zero_reductions}")
-            engine.emit(f"number of elements in g: {len(basis)}")
-        return BasisResult(basis=basis, stats=stats, reduced=reduced)
-
-    for ordinal in range(2, m + 1):
-        f_i = fs[ordinal - 1]
+    store = engine.store
+    indices = [store.add_input(fs[0])]
+    reduced = variant == "f5c" or len(fs) == 1
+    for ordinal in range(2, len(fs) + 1):
         engine.begin_iteration(ordinal)
         engine.emit(f"Iteration {ordinal}")
-        prev = _prev_bundle(engine, variant, prev_indices)
-        if config.certified and variant == "f5c":
-            _extend_reference(engine, f_i)
-        module_index = (
-            ordinal if variant != "f5c" else engine.store.size + 1
-        )
-        cof = None
-        if config.certified:
-            cof = _unit_vector(
-                ring, len(engine.store.reference_system), module_index - 1
-            )
-        engine.store.append(Signature(ring, ring.unit_key, module_index), f_i, cof)
-        curr = engine.incremental_basis(module_index, prev, prev_indices)
-        engine.emit(f"{len(curr)} polynomials in basis")
-        if any(engine.store.poly(k).is_unit() for k in curr):
-            return finish([ring.one], reduced=True)
+        prev = _prev_bundle(engine, variant, indices)
+        new = store.add_input(fs[ordinal - 1])
+        indices = engine.incremental_basis(store.sig(new).index, prev, indices)
+        engine.emit(f"{len(indices)} polynomials in basis")
+        if any(store.poly(k).is_unit() for k in indices):
+            basis, reduced = [ring.one], True
+            break
         if variant == "f5c":
-            prev_indices = setup_reduced_basis(
-                engine, curr, skip_rule_rebuild=config.skip_rule_rebuild
+            indices = setup_reduced_basis(
+                engine, indices, skip_rule_rebuild=config.skip_rule_rebuild
             )
-        else:
-            prev_indices = curr
-    if variant == "f5c":
-        basis = [engine.store.poly(k) for k in prev_indices]
-        return finish(basis, reduced=True)
-    basis = [engine.store.poly(k) for k in prev_indices]
-    if m == 1:
-        return finish(basis, reduced=True)
-    return finish(basis, reduced=False)
+    else:
+        basis = [store.poly(k) for k in indices]
+    stats.basis_size_final = len(basis)
+    if trace is not None:
+        engine.emit("")
+        engine.emit(f"number of zero reductions: {stats.zero_reductions}")
+        engine.emit(f"number of elements in g: {len(basis)}")
+    return BasisResult(basis=basis, stats=stats, reduced=reduced)
 
 
 def f5(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
     """The incremental signature-based computation; output is the raw basis."""
-    cfg = config or VariantConfig(variant="f5")
-    if cfg.variant != "f5":
-        cfg = VariantConfig(
-            "f5", False, cfg.certified, cfg.store_cap
-        )
-    return _drive(F, cfg, trace)
+    cfg = replace(config or VariantConfig(), variant="f5", skip_rule_rebuild=False)
+    return run_variant(F, cfg, trace)
 
 
 def f5r(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
     """Same pair/S-polynomial stream as f5, but normal forms run against the
     interreduced previous basis; output matches f5's raw basis."""
-    cfg = config or VariantConfig(variant="f5r")
-    if cfg.variant != "f5r":
-        cfg = VariantConfig("f5r", False, cfg.certified, cfg.store_cap)
-    return _drive(F, cfg, trace)
+    cfg = replace(config or VariantConfig(), variant="f5r", skip_rule_rebuild=False)
+    return run_variant(F, cfg, trace)
 
 
 def f5c(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
     """Rebuilds signatures over each reduced basis; output is reduced."""
-    cfg = config or VariantConfig(variant="f5c")
-    if cfg.variant != "f5c":
-        cfg = VariantConfig(
-            "f5c", cfg.skip_rule_rebuild, cfg.certified, cfg.store_cap
-        )
-    return _drive(F, cfg, trace)
-
-
-def run_variant(F, config: VariantConfig, trace=None) -> BasisResult:
-    return _drive(F, config, trace)
+    return run_variant(F, replace(config or VariantConfig(), variant="f5c"), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -355,51 +276,19 @@ def groebner_check(G) -> bool:
     """Buchberger's criterion by direct computation.
 
     True iff every pairwise S-polynomial of the nonzero members of G
-    top-reduces to zero over G.
+    reduces to zero over G.
     """
-    from heapq import heappop, heappush
-
     Gs = [g for g in G if g]
     if not Gs:
         raise ValueError("empty basis")
-    ring = Gs[0].ring
-    p = ring.p
     # smallest dividing head keeps verification chains short
-    reducers = ReducerSet(ring, Gs, prefer=-1)
-    find = reducers.find_divisor
+    reducers = ReducerSet(Gs[0].ring, Gs, prefer=-1)
     heads = [g.lt() for g in Gs]
     for i in range(len(Gs)):
         for j in range(i + 1, len(Gs)):
             if _coprime(heads[i], heads[j]):
-                # product criterion: such S-polynomials top-reduce to zero
+                # product criterion: such S-polynomials reduce to zero
                 continue
-            s = spoly(Gs[i], Gs[j])
-            work = dict(s.terms)
-            heap = sorted(-k for k in work)
-            while heap:
-                key = -heappop(heap)
-                c = work.pop(key, 0)
-                if not c:
-                    continue
-                cand = find(key)
-                if cand is None:
-                    return False  # stuck with an irreducible head
-                gk, _, _, inv_lc, tail, _ = cand
-                fac = (c * inv_lc) % p
-                off = key - gk
-                get = work.get
-                for tk, tc in tail:
-                    nk = off + tk
-                    prev = get(nk)
-                    if prev is None:
-                        nc = (-fac * tc) % p
-                        if nc:
-                            work[nk] = nc
-                            heappush(heap, -nk)
-                    else:
-                        nc = (prev - fac * tc) % p
-                        if nc:
-                            work[nk] = nc
-                        else:
-                            del work[nk]
+            if reducers.reduce_full(spoly(Gs[i], Gs[j])):
+                return False
     return True

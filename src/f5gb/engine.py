@@ -15,8 +15,15 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .algebra import Polynomial, PolynomialRing, ReducerSet
-from .sigcore import PolyStore, RuleTable, Signature
+from .algebra import PolynomialRing, ReducerSet
+from .sigcore import (
+    PolyStore,
+    RuleTable,
+    Signature,
+    cofactors_scale,
+    cofactors_sub,
+    reduce_payload,
+)
 
 
 @dataclass
@@ -139,8 +146,8 @@ class PairQueue:
 class PrevBasis:
     """The previous iteration's basis: reduction target plus criterion heads.
 
-    cofactors, when present, give each basis polynomial's module
-    representation over the run's reference system (certified mode).
+    cofactors lists each basis polynomial's module representation over the
+    run's reference system (certified mode); plain runs carry None.
     """
 
     __slots__ = ("polys", "reducers", "cofactors")
@@ -149,16 +156,6 @@ class PrevBasis:
         self.polys = list(polys)
         self.reducers = ReducerSet(ring, self.polys)
         self.cofactors = cofactors
-
-
-@dataclass
-class IterationState:
-    """Bookkeeping for one incremental_basis call."""
-
-    i: int
-    prev: tuple
-    curr: list
-    basis: PrevBasis
 
 
 class F5Engine:
@@ -173,7 +170,6 @@ class F5Engine:
         stats: RunStats | None = None,
     ):
         self.ring = ring
-        self.certified = certified
         self.store = PolyStore(ring, cap=store_cap, certified=certified)
         self.rules = RuleTable(ring)
         self.trace = trace
@@ -191,24 +187,6 @@ class F5Engine:
             self.stats.new_iteration(i) if self.stats is not None else IterationStats(i=i)
         )
         return self.it_stats
-
-    def _scaled_cofactors(self, cofs, c: int):
-        if c == 1:
-            return list(cofs)
-        return [h.scale(c) for h in cofs]
-
-    def _cof_after_steps(self, base, quotients, basis_cofs):
-        """base - sum(q_j * cof(b_j)) across recorded reduction quotients."""
-        ring = self.ring
-        out = list(base)
-        for qmap, bcofs in zip(quotients, basis_cofs):
-            if not qmap:
-                continue
-            q = Polynomial(ring, tuple(sorted(qmap.items(), reverse=True)))
-            for m, c in enumerate(bcofs):
-                if c:
-                    out[m] = out[m] - q * c
-        return out
 
     # -- Algorithm: critical pairs ------------------------------------------
 
@@ -250,7 +228,6 @@ class F5Engine:
         ring = self.ring
         store = self.store
         rules = self.rules
-        certified = self.certified
         newpols = []
         for pair in sorted(pairs, key=lambda cp: (cp.lcm_key, cp.k, cp.l)):
             ek = store.entry(pair.k)
@@ -267,14 +244,9 @@ class F5Engine:
             new_sig = Signature(
                 ring, ring.key_mul(pair.u_key, ek.sig.key), ek.sig.index
             )
-            cof = None
-            if certified:
-                uq = Polynomial(ring, ((pair.u_key, lc_l),))
-                vq = Polynomial(ring, ((pair.v_key, lc_k),))
-                cof = [
-                    uq * a - vq * b
-                    for a, b in zip(ek.cofactors, el.cofactors)
-                ]
+            cof = cofactors_sub(
+                ring, ek.cofactors, el.cofactors, pair.v_key, lc_k, pair.u_key, lc_l
+            )
             idx = store.append(new_sig, s, cof)
             rules.add_rule(new_sig, idx)
             self.it_stats.spolys += 1
@@ -301,16 +273,10 @@ class F5Engine:
             k = queue.pop(0)
             keys.pop(0)
             entry = store.entry(k)
-            if self.certified:
-                quotients = [dict() for _ in prev.reducers.polys]
-                h = prev.reducers.reduce_full(
-                    entry.poly, stats=self.it_stats, quotients=quotients
-                )
-                cof = self._cof_after_steps(entry.cofactors, quotients, prev.cofactors)
-                store.set_poly(k, h, cof)
-            else:
-                h = prev.reducers.reduce_full(entry.poly, stats=self.it_stats)
-                store.set_poly(k, h)
+            h, cof = reduce_payload(
+                prev.reducers, entry.poly, entry.cofactors, prev.cofactors, self.it_stats
+            )
+            store.set_poly(k, h, cof)
             completed, redo = self.top_reduction(k, prev, curr, done)
             done.extend(completed)
             for j in redo:
@@ -338,28 +304,21 @@ class F5Engine:
         if j is None:
             if entry.poly.lc() != 1:
                 inv = ring.field.inv(entry.poly.lc())
-                cof = (
-                    self._scaled_cofactors(entry.cofactors, inv)
-                    if self.certified
-                    else None
+                store.set_poly(
+                    k, entry.poly.scale(inv), cofactors_scale(entry.cofactors, inv)
                 )
-                store.set_poly(k, entry.poly.scale(inv), cof)
             return (k,), ()
         red = store.entry(j)
         u_key = ring.key_div(entry.head_key, red.head_key)
         c = ring.field.div(entry.poly.lc(), red.poly.lc())
         p = entry.poly - red.poly.term_mul_key(u_key, c)
         self.it_stats.reduction_steps += 1
-        cof = None
-        if self.certified:
-            uq = Polynomial(ring, ((u_key, c),))
-            cof = [a - uq * b for a, b in zip(entry.cofactors, red.cofactors)]
+        cof = cofactors_sub(ring, entry.cofactors, red.cofactors, u_key, c)
         if p:
             inv = ring.field.inv(p.lc())
             if inv != 1:
                 p = p.scale(inv)
-                if cof is not None:
-                    cof = self._scaled_cofactors(cof, inv)
+                cof = cofactors_scale(cof, inv)
         new_sig_key = ring.key_mul(u_key, red.sig.key)
         if (red.sig.index, new_sig_key) < entry.sig.sort_key:
             store.set_poly(k, p, cof)
@@ -414,11 +373,8 @@ class F5Engine:
         signature index i.  Returns the store indices of a Groebner basis of
         the enlarged ideal, in insertion order.
         """
-        store = self.store
-        curridx = store.size
-        state = IterationState(
-            i=i, prev=tuple(prev_indices), curr=list(prev_indices) + [curridx], basis=prev
-        )
+        curridx = self.store.size
+        curr = list(prev_indices) + [curridx]
         self.rules.ensure_index(i)
         pending = PairQueue()
 
@@ -427,7 +383,7 @@ class F5Engine:
             if cp is not None:
                 pending.push(cp)
 
-        for j in state.prev:
+        for j in prev_indices:
             add_pair(curridx, j)
         while pending:
             d, batch = pending.pop_min_degree()
@@ -435,10 +391,10 @@ class F5Engine:
             stats = self.it_stats
             stats.pairs_by_degree[d] = stats.pairs_by_degree.get(d, 0) + len(batch)
             todo = self.compute_spols(batch)
-            survivors = self.reduction(todo, prev, state.curr)
+            survivors = self.reduction(todo, prev, curr)
             for k in sorted(survivors):
-                for j in state.curr:
+                for j in curr:
                     add_pair(k, j)
-                state.curr.append(k)
-        self.it_stats.basis_size = len(state.curr)
-        return state.curr
+                curr.append(k)
+        self.it_stats.basis_size = len(curr)
+        return curr

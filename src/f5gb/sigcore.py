@@ -131,6 +131,63 @@ def admissible_check(entry, system) -> bool:
     return total == entry.poly
 
 
+# -- cofactor arithmetic -----------------------------------------------------
+# In certified mode every payload carries a cofactor vector over the store's
+# reference system; in plain mode it carries None.  The engine and the drivers
+# update cofactor vectors only through these helpers, which pass None through,
+# so the engine runs the same statements in both modes.
+
+
+def cofactors_sub(ring, a, b, tb_key, tb_c, ta_key=None, ta_c=1):
+    """ta*a - tb*b for terms t = c*x^key (ta is 1 without ta_key)."""
+    if a is None:
+        return None
+    tb = Polynomial(ring, ((tb_key, tb_c),))
+    if ta_key is None:
+        return [x - tb * y for x, y in zip(a, b)]
+    ta = Polynomial(ring, ((ta_key, ta_c),))
+    return [ta * x - tb * y for x, y in zip(a, b)]
+
+
+def cofactors_scale(a, c: int):
+    """c*a for a field constant c."""
+    if a is None:
+        return None
+    return [h.scale(c) for h in a]
+
+
+def reduce_payload(reducers, poly: Polynomial, cofs, basis_cofs, stats):
+    """(h, cofs - sum_j q_j * basis_cofs[j]) for h = reducers.reduce_full(poly).
+
+    The q_j are the quotients reduce_full records against reducers.polys,
+    whose cofactor vectors basis_cofs lists in the same order.
+    """
+    if cofs is None:
+        return reducers.reduce_full(poly, stats=stats), None
+    ring = reducers.ring
+    quotients = [dict() for _ in reducers.polys]
+    h = reducers.reduce_full(poly, stats=stats, quotients=quotients)
+    out = list(cofs)
+    for qmap, bcofs in zip(quotients, basis_cofs):
+        if not qmap:
+            continue
+        q = Polynomial(ring, tuple(sorted(qmap.items(), reverse=True)))
+        for m, c in enumerate(bcofs):
+            if c:
+                out[m] = out[m] - q * c
+    return h, out
+
+
+def compose_cofactors(ring, combo, cofs):
+    """sum_j combo[j] * cofs[j] for a {position: Polynomial} combination."""
+    out = [ring.zero] * len(cofs[0])
+    for j, q in combo.items():
+        for m, c in enumerate(cofs[j]):
+            if c:
+                out[m] = out[m] + q * c
+    return out
+
+
 class LabeledPolynomial:
     """One store entry: a fixed signature plus a mutable polynomial payload."""
 
@@ -161,16 +218,17 @@ class PolyStore:
     """Append-only, 1-indexed store of labeled polynomials.
 
     Index 0 is reserved for the phantom polynomial that rebuilt rewrite rules
-    may point at.  In certified mode every append and payload replacement is
-    checked for admissibility against the current reference system, and the
-    original signature object is pinned so mutation attempts surface.
+    may point at.  The reference system lists the inputs e_1, e_2, ... added
+    so far.  In certified mode every append and payload replacement is
+    checked for admissibility against it, and the original signature object
+    is pinned so mutation attempts surface.
     """
 
     def __init__(self, ring: PolynomialRing, cap: int = 1_000_000, certified: bool = False):
         self.ring = ring
         self.cap = cap
         self.certified = certified
-        self.reference_system = None  # list[Polynomial] in certified mode
+        self.reference_system: list[Polynomial] = []
         self._entries: list[LabeledPolynomial | None] = [None]
         self._pinned_sigs: list = [None]
 
@@ -207,20 +265,34 @@ class PolyStore:
         return self.size
 
     def set_poly(self, k: int, poly: Polynomial, cofactors=None):
-        """Replace the payload of entry k; its signature is immutable."""
+        """Replace the payload of entry k and its cofactors; its signature is immutable."""
         entry = self.entry(k)
         entry._set_poly(poly)
-        if cofactors is not None:
-            entry.cofactors = cofactors
+        entry.cofactors = cofactors
         if self.certified:
             self._certify(k)
 
-    def reset(self, labeled) -> None:
-        """Replace the whole store (reduced-basis rebuild)."""
+    def add_input(self, poly: Polynomial) -> int:
+        """Add poly as the next input e_nu: entry (1, e_nu); returns its index.
+
+        In certified mode every entry's cofactor vector grows by a zero for
+        e_nu, and the new entry gets the unit vector.
+        """
+        ring = self.ring
+        self.reference_system.append(poly)
+        nu = len(self.reference_system)
+        cof = None
+        if self.certified:
+            for e in self.entries():
+                e.cofactors = e.cofactors + [ring.zero]
+            cof = [ring.zero] * (nu - 1) + [ring.one]
+        return self.append(Signature(ring, ring.unit_key, nu), poly, cof)
+
+    def reset(self) -> None:
+        """Empty the store and its reference system (reduced-basis rebuild)."""
         self._entries = [None]
         self._pinned_sigs = [None]
-        for sig, poly, cof in labeled:
-            self.append(sig, poly, cof)
+        self.reference_system = []
 
     def check_signatures_frozen(self) -> bool:
         """Every entry still carries the signature object it was created with."""
@@ -235,8 +307,6 @@ class PolyStore:
             raise AdmissibilityError(
                 f"certified store entry {k} carries no cofactors"
             )
-        if self.reference_system is None:
-            raise AdmissibilityError("certified store has no reference system")
         if not admissible_check(entry, self.reference_system):
             raise AdmissibilityError(
                 f"store entry {k} is not admissible: sig={entry.sig!r}"

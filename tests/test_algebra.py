@@ -15,6 +15,7 @@ from f5gb.algebra import (
     ZeroPolynomialError,
     homogenize,
     interreduce,
+    interreduce_with_cofactors,
     is_prime,
     is_top_reducible,
     monomial_div,
@@ -501,6 +502,34 @@ def test_interreduce_permutation_invariance_on_groebner_bases():
     expected = interreduce(G)
     for perm in itertools.permutations(G):
         assert interreduce(list(perm)) == expected
+
+
+def test_interreduce_with_cofactors_on_raw_f5_basis():
+    from f5gb.bench import katsura
+    from f5gb.drivers import f5
+
+    G = f5(katsura(3, 101)).basis
+    ring = G[0].ring
+    outputs, combos = interreduce_with_cofactors(G)
+    assert outputs == interreduce(G)
+    assert len(combos) == len(outputs)
+    for out, combo in zip(outputs, combos):
+        total = ring.zero
+        for i, q in combo.items():
+            total = total + q * G[i]
+        assert total == out
+
+
+def test_interreduce_with_cofactors_rejects_non_groebner_input():
+    ring = PolynomialRing(32003, ("x", "y"))
+    # head minimization drops x^2*y^2, which reduces to y, not 0
+    G = [
+        P(ring, (1, (2, 1)), (-1, (0, 0))),
+        P(ring, (1, (1, 2)), (-1, (0, 0))),
+        P(ring, (1, (2, 2))),
+    ]
+    with pytest.raises(ValueError):
+        interreduce_with_cofactors(G)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,22 @@ def test_usage_errors_exit_one():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--system", "katsura", "--n", "2", "--algorithm", "f5"],
+        ["bench", "--system", "katsura", "--n", "2", "--algorithm", "all"],
+        ["run", "--input", "unread.ideal", "--algorithm", "f5r"],
+        ["run", "--input", "unread.ideal", "--algorithm", "buchberger"],
+    ],
+)
+def test_skip_rule_rebuild_without_f5c_is_usage_error(argv):
+    code, out, err = run(argv + ["--skip-rule-rebuild"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--skip-rule-rebuild" in err and "f5c" in err
+
+
 def test_bench_all_writes_three_records(tmp_path):
     stats_path = tmp_path / "out.json"
     code, out, _ = run(

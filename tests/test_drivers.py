@@ -12,6 +12,7 @@ from f5gb.algebra import (
     interreduce,
 )
 from f5gb.drivers import (
+    VARIANTS,
     VariantConfig,
     buchberger_reduced,
     buchberger_reduced_unpruned,
@@ -19,6 +20,7 @@ from f5gb.drivers import (
     f5c,
     f5r,
     groebner_check,
+    run_variant,
     setup_reduced_basis,
 )
 from f5gb.engine import F5Engine, PrevBasis, RunStats
@@ -266,6 +268,13 @@ def test_groebner_check_cases():
     assert groebner_check(polys(ring, "x + y", "y"))
     gr = PolynomialRing(32003, ("x", "y"))
     assert not groebner_check(polys(gr, "x^2*y - 1", "x*y^2 - 1"))
+    # S(x^2 - y, x*y - 1) = x - y^2 under lex: its head x is stuck at once
+    assert not groebner_check(polys(ring, "x^2 - y", "x*y - 1"))
+    # S(x^2 + x*z + z^2, x*y) = x*y*z + y*z^2: the head reduces by x*y, and the
+    # lower term y*z^2 is stuck; with y*z^2 added the set is a basis
+    xyz = PolynomialRing(32003, ("x", "y", "z"))
+    assert not groebner_check(polys(xyz, "x^2 + x*z + z^2", "x*y"))
+    assert groebner_check(polys(xyz, "x^2 + x*z + z^2", "x*y", "y*z^2"))
 
 
 def test_oracle_agreement_small_suite():
@@ -293,6 +302,40 @@ def test_certified_runs_validate_every_mutation(appendix_system):
             appendix_system, config=VariantConfig(name, certified=True)
         )
         assert len(result.basis) == (8 if name == "f5c" else 10)
+
+
+@pytest.mark.parametrize("name", ["appendix", "katsura-4", "cyclic-5", "cyclic-4"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_certified_run_matches_plain_run(name, variant, appendix_system):
+    from f5gb.bench import cyclic, katsura
+
+    systems = {
+        "appendix": lambda: appendix_system,
+        "katsura-4": lambda: katsura(4, 101),
+        "cyclic-5": lambda: cyclic(5, 101),
+        "cyclic-4": lambda: cyclic(4, 101),
+    }
+    F = systems[name]()
+    plain = run_variant(F, VariantConfig(variant))
+    certified = run_variant(F, VariantConfig(variant, certified=True))
+    assert certified.basis == plain.basis
+    assert certified.stats.to_dict() == plain.stats.to_dict()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_certified_run_catches_dropped_cofactor_multiple(variant, monkeypatch):
+    # a cofactor update that forgets the subtracted multiple leaves the
+    # payload and its cofactors out of step; the store must notice
+    import f5gb.engine as engine_module
+    from f5gb.bench import katsura
+    from f5gb.sigcore import AdmissibilityError, cofactors_sub
+
+    def dropped(ring, a, b, *terms):
+        return cofactors_sub(ring, a, [ring.zero] * len(b), *terms)
+
+    monkeypatch.setattr(engine_module, "cofactors_sub", dropped)
+    with pytest.raises(AdmissibilityError):
+        run_variant(katsura(3, 101), VariantConfig(variant, certified=True))
 
 
 def test_certified_cyclic_with_zero_reductions():
