@@ -8,6 +8,7 @@ families, and compare_variants collects per-run instrumentation.
 
 from .algebra import (
     ArityError,
+    ExponentOverflowError,
     NonHomogeneousError,
     NotDivisibleError,
     Polynomial,
@@ -44,6 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArityError",
     "BasisResult",
+    "ExponentOverflowError",
     "NonHomogeneousError",
     "NotDivisibleError",
     "Polynomial",

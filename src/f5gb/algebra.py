@@ -16,7 +16,7 @@ from math import isqrt
 ORDER_KINDS = ("grevlex", "lex", "deglex")
 
 _FIELD_BITS = 16            # bits per exponent field in packed keys
-_FIELD_MAX = (1 << 15) - 1  # exponents must stay strictly below this
+_FIELD_MAX = (1 << 15) - 1  # largest exponent, and largest total degree, a key holds
 _MAX_EXPONENT = 1 << 14     # hard guard, far beyond any feasible computation
 
 
@@ -34,6 +34,10 @@ class ZeroPolynomialError(ValueError):
 
 class NonHomogeneousError(ValueError):
     """An operation restricted to homogeneous input received mixed degrees."""
+
+
+class ExponentOverflowError(OverflowError):
+    """A monomial's total degree exceeds what a packed key can hold."""
 
 
 def is_prime(p: int) -> bool:
@@ -210,6 +214,11 @@ class PolynomialRing:
         n = self.n
         W = _FIELD_BITS
         self._deg_shift = W * n
+        # Every key has total degree <= _FIELD_MAX, so every exponent field
+        # stays below 2**15 and adding two keys carries no field into the
+        # next.  For graded orders the degree field then adds exactly, and a
+        # product of keys ka, kb is too large iff ka + kb >= _deg_cap.
+        self._deg_cap = (_FIELD_MAX + 1) << self._deg_shift
         self._graded = self.order.kind in ("grevlex", "deglex")
         if self.order.kind == "grevlex":
             # key = deg | (M - e_n) | ... | (M - e_1), variable i at offset W*i
@@ -227,16 +236,18 @@ class PolynomialRing:
             raise ArityError(f"expected {self.n} exponents, got {len(exps)}")
         W = _FIELD_BITS
         kind = self.order.kind
+        d = sum(exps)
+        self.check_degree(d)
         k = 0
         if kind == "grevlex":
             for i, e in enumerate(exps):
                 k |= (_FIELD_MAX - e) << (W * i)
-            k |= sum(exps) << self._deg_shift
+            k |= d << self._deg_shift
         elif kind == "deglex":
             n1 = self.n - 1
             for i, e in enumerate(exps):
                 k |= e << (W * (n1 - i))
-            k |= sum(exps) << self._deg_shift
+            k |= d << self._deg_shift
         else:  # lex
             n1 = self.n - 1
             for i, e in enumerate(exps):
@@ -253,6 +264,7 @@ class PolynomialRing:
         return tuple((key >> (W * (n1 - i))) & mask for i in range(self.n))
 
     def key_mul(self, ka: int, kb: int) -> int:
+        """Product key; caller guarantees the product packs (check_degree)."""
         return ka + kb - self.unit_key
 
     def key_div(self, ka: int, kb: int) -> int:
@@ -263,6 +275,17 @@ class PolynomialRing:
         if self._graded:
             return key >> self._deg_shift
         return sum(self.exps(key))
+
+    def check_degree(self, d: int):
+        """Raise ExponentOverflowError when total degree d does not pack.
+
+        Products check the sum of their factors' degrees: every exponent is
+        at most the total degree, so no exponent field can then wrap.
+        """
+        if d > _FIELD_MAX:
+            raise ExponentOverflowError(
+                f"total degree {d} exceeds the packed-key limit {_FIELD_MAX}"
+            )
 
     def divmask(self, exps) -> int:
         """Compressed divisibility signature: divisor masks are subsets."""
@@ -466,8 +489,12 @@ class Polynomial:
     def term_mul_key(self, ku: int, c: int) -> Polynomial:
         ring = self.ring
         c %= ring.p
-        if not c:
+        if not c or not self.terms:
             return ring.zero
+        # graded orders: one comparison on the head's key (see _deg_cap);
+        # lex has no degree field and takes the maximum over the terms
+        if not (ring._graded and self.terms[0][0] + ku < ring._deg_cap):
+            ring.check_degree(self.degree() + ring.key_degree(ku))
         off = ku - ring.unit_key
         return Polynomial(ring, tuple((k + off, (c * t) % ring.p) for k, t in self.terms))
 
@@ -476,6 +503,10 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         ring = self.ring
+        if not self.terms or not other.terms:
+            return ring.zero
+        if not (ring._graded and self.terms[0][0] + other.terms[0][0] < ring._deg_cap):
+            ring.check_degree(self.degree() + other.degree())
         p = ring.p
         unit = ring.unit_key
         acc: dict[int, int] = {}

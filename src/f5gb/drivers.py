@@ -17,6 +17,8 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from heapq import heapify, heappop, heappush
+from operator import le
 
 from .algebra import (
     NonHomogeneousError,
@@ -26,7 +28,6 @@ from .algebra import (
     interreduce,
     interreduce_with_cofactors,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     normal_form,
     spoly,
@@ -181,36 +182,60 @@ def f5c(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
 # the independent oracle
 
 
-def _coprime(a, b) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _gm_entry(g):
+    """(monic polynomial, head exponents, head divmask, head degree)."""
+    head = g.lt()
+    return g, head, g.ring.divmask(head), sum(head)
+
+
+def _gm_pair(e1, e2, lcm, mask, serial):
+    """A critical pair; its first three fields are its selection key."""
+    return (sum(lcm), e1[0].ring.key(lcm), serial, lcm, mask, e1, e2)
+
+
+def _divides(a, mask_a, b, mask_b) -> bool:
+    return not (mask_a & ~mask_b) and all(map(le, a, b))
 
 
 def _gm_update(G, pairs, h, serial):
-    """Gebauer-Moller pair update: add h to G, prune new and old pairs.
+    """Gebauer-Moller pair update: add the entry h to G, prune new and old pairs.
 
-    pairs entries are (g1, g2, lcm, serial); G holds monic polynomials.
+    G holds _gm_entry tuples and pairs holds _gm_pair tuples; serials number
+    the pairs in creation order and make the selection key a total order.
+    Returns (new G, new pairs, next serial).
     """
-    ht = h.lt()
-    C = [(g, monomial_lcm(ht, g.lt())) for g in G]
+    _, ht, hm, hd = h
+    divmask = h[0].ring.divmask
+    # new pairs (h, g): the chain criterion drops a pair whose lcm another
+    # new pair's lcm divides; among equal lcms the last one stays.  Coprime
+    # pairs take part in the chain test and then go (product criterion).
+    C = []
+    for g in G:
+        lcm = tuple(map(max, ht, g[1]))
+        C.append((lcm, divmask(lcm), sum(lcm) == hd + g[3], g))
     D = []
-    while C:
-        g, lcm = C.pop(0)
-        if _coprime(ht, g.lt()) or (
-            not any(monomial_divides(l2, lcm) for _, l2 in C)
-            and not any(monomial_divides(l2, lcm) for _, l2 in D)
+    for i, c in enumerate(C):
+        lcm, m = c[0], c[1]
+        if c[2] or not (
+            any(_divides(o[0], o[1], lcm, m) for o in C[i + 1:])
+            or any(_divides(o[0], o[1], lcm, m) for o in D)
         ):
-            D.append((g, lcm))
-    E = [(g, lcm) for g, lcm in D if not _coprime(ht, g.lt())]
-    kept_old = []
-    for g1, g2, lcm, ser in pairs:
-        if (
-            not monomial_divides(ht, lcm)
-            or monomial_lcm(g1.lt(), ht) == lcm
-            or monomial_lcm(ht, g2.lt()) == lcm
-        ):
-            kept_old.append((g1, g2, lcm, ser))
-    new_pairs = kept_old + [(h, g, lcm, serial + n) for n, (g, lcm) in enumerate(E)]
-    new_G = [g for g in G if not monomial_divides(ht, g.lt())] + [h]
+            D.append(c)
+    # old pairs (g1, g2): dropped when ht divides their lcm and neither
+    # lcm(g1, h) nor lcm(h, g2) equals it, so the chain g1, h, g2 has
+    # strictly smaller lcms
+    kept_old = [
+        p
+        for p in pairs
+        if not _divides(ht, hm, p[3], p[4])
+        or tuple(map(max, p[5][1], ht)) == p[3]
+        or tuple(map(max, ht, p[6][1])) == p[3]
+    ]
+    E = [c for c in D if not c[2]]
+    new_pairs = kept_old + [
+        _gm_pair(h, g, lcm, m, serial + n) for n, (lcm, m, _, g) in enumerate(E)
+    ]
+    new_G = [g for g in G if not _divides(ht, hm, g[1], g[2])] + [h]
     return new_G, new_pairs, serial + len(E)
 
 
@@ -218,44 +243,33 @@ def _buchberger(F, prune: bool, stats=None):
     fs = [f for f in F if f]
     if not fs:
         raise ValueError("empty input system")
-    ring = fs[0].ring
     fs = sorted((f.monic() for f in fs), key=lambda f: (f.degree(), f.lt_key()))
     G: list = []
-    pairs: list = []
+    pairs: list = []  # a heap on the selection key (lcm degree, lcm key, serial)
     serial = 0
+
+    def add(f):
+        nonlocal G, pairs, serial
+        h = normal_form(f, [g[0] for g in G], stats=stats)
+        if h.is_zero():
+            return
+        e = _gm_entry(h.monic())
+        if prune:
+            G, pairs, serial = _gm_update(G, pairs, e, serial)
+            heapify(pairs)
+            return
+        for g in G:
+            lcm = tuple(map(max, g[1], e[1]))
+            heappush(pairs, _gm_pair(g, e, lcm, g[0].ring.divmask(lcm), serial))
+            serial += 1
+        G.append(e)
+
     for f in fs:
-        h = normal_form(f, G, stats=stats)
-        if h.is_zero():
-            continue
-        h = h.monic()
-        if prune:
-            G, pairs, serial = _gm_update(G, pairs, h, serial)
-        else:
-            pairs += [(g, h, monomial_lcm(g.lt(), h.lt()), serial + n) for n, g in enumerate(G)]
-            serial += len(G)
-            G.append(h)
+        add(f)
     while pairs:
-        best = min(
-            range(len(pairs)),
-            key=lambda idx: (
-                sum(pairs[idx][2]),
-                ring.key(pairs[idx][2]),
-                pairs[idx][3],
-            ),
-        )
-        g1, g2, _, _ = pairs.pop(best)
-        s = spoly(g1, g2)
-        h = normal_form(s, G, stats=stats)
-        if h.is_zero():
-            continue
-        h = h.monic()
-        if prune:
-            G, pairs, serial = _gm_update(G, pairs, h, serial)
-        else:
-            pairs += [(g, h, monomial_lcm(g.lt(), h.lt()), serial + n) for n, g in enumerate(G)]
-            serial += len(G)
-            G.append(h)
-    return interreduce(G)
+        g1, g2 = heappop(pairs)[5:]
+        add(spoly(g1[0], g2[0]))
+    return interreduce([g[0] for g in G])
 
 
 def buchberger_reduced(F, stats=None):
@@ -273,22 +287,30 @@ def buchberger_reduced_unpruned(F, stats=None):
 
 
 def groebner_check(G) -> bool:
-    """Buchberger's criterion by direct computation.
+    """Buchberger's criterion on the Gebauer-Moller pairs of G.
 
-    True iff every pairwise S-polynomial of the nonzero members of G
-    reduces to zero over G.
+    True iff G (zeros ignored) is a Groebner basis of the ideal it
+    generates.  The nonzero members, made monic and sorted by head, go one
+    at a time through the oracle's _gm_update, which applies the product
+    criterion and the chain criterion with its fixed serial tie-break; the
+    S-polynomial of every surviving pair is then reduced over all of G.
+
+    The answer is exact.  If G is a Groebner basis, every S-polynomial
+    reduces to zero over G.  Conversely, if every surviving pair reduces to
+    zero, the Gebauer-Moller Buchberger algorithm run on G (Gebauer & Moller,
+    JSC 1988) would add nothing and stop, and its correctness theorem makes G
+    a Groebner basis: each pair it pruned has a standard representation
+    through the chain of kept pairs that justified the pruning, and the
+    serial tie-break keeps those chains from resting on each other.
     """
-    Gs = [g for g in G if g]
+    Gs = sorted((g.monic() for g in G if g), key=lambda g: g.lt_key())
     if not Gs:
         raise ValueError("empty basis")
+    entries: list = []
+    pairs: list = []
+    serial = 0
+    for g in Gs:
+        entries, pairs, serial = _gm_update(entries, pairs, _gm_entry(g), serial)
     # smallest dividing head keeps verification chains short
     reducers = ReducerSet(Gs[0].ring, Gs, prefer=-1)
-    heads = [g.lt() for g in Gs]
-    for i in range(len(Gs)):
-        for j in range(i + 1, len(Gs)):
-            if _coprime(heads[i], heads[j]):
-                # product criterion: such S-polynomials reduce to zero
-                continue
-            if reducers.reduce_full(spoly(Gs[i], Gs[j])):
-                return False
-    return True
+    return not any(reducers.reduce_full(spoly(p[5][0], p[6][0])) for p in pairs)

@@ -65,8 +65,10 @@ class Signature:
 
     def mul(self, monomial) -> Signature:
         """Natural signature of the product: (u * mu, nu)."""
-        ukey = monomial if isinstance(monomial, int) else self.ring.key(monomial)
-        return Signature(self.ring, self.ring.key_mul(ukey, self.key), self.index)
+        ring = self.ring
+        ukey = monomial if isinstance(monomial, int) else ring.key(monomial)
+        ring.check_degree(ring.key_degree(ukey) + ring.key_degree(self.key))
+        return Signature(ring, ring.key_mul(ukey, self.key), self.index)
 
     def __eq__(self, other):
         if other is ZERO_SIGNATURE:

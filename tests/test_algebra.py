@@ -7,6 +7,7 @@ import pytest
 
 from f5gb.algebra import (
     ArityError,
+    ExponentOverflowError,
     NotDivisibleError,
     Polynomial,
     PolynomialRing,
@@ -152,6 +153,34 @@ def test_packed_keys_agree_with_order():
         for a in monos:
             full = monomial_mul(a, u)
             assert ring.key_div(ring.key(full), ring.key(u)) == ring.key(a)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "deglex"])
+def test_products_past_the_packed_degree_raise(kind):
+    # unguarded, grevlex wraps (x^16000) * (x^16000*y)^2 to head (-17536, 3)
+    ring = PolynomialRing(32003, ("x", "y"), kind)
+    a = P(ring, (1, (16000, 0)))
+    b = P(ring, (1, (16000, 1)), (2, (0, 16001)))
+    b2 = b * b
+    assert b2.lt() == (32000, 2) and ring.key_degree(b2.lt_key()) == 32002
+    with pytest.raises(ExponentOverflowError):
+        a * b2
+    with pytest.raises(ExponentOverflowError):
+        b2.term_mul_key(a.lt_key(), 1)
+    with pytest.raises(ExponentOverflowError):
+        spoly(b2, P(ring, (1, (0, 16000))))
+    with pytest.raises(ExponentOverflowError):
+        ring.key((32767, 1))
+    if kind == "lex":
+        # a lex head need not have the largest degree: the reducer's tail
+        # term y^16383 becomes x^16382*y^32766
+        f = P(ring, (1, (16383, 16383)))
+        with pytest.raises(ExponentOverflowError):
+            top_reduce_step(f, P(ring, (1, (1, 0)), (1, (0, 16383))))
+    # degree 32767 still packs: every term of the product decodes exactly
+    c = b2.term_mul((0, 765), 3)
+    assert c.dict() == {(32000, 767): 3, (16000, 16767): 12, (0, 32767): 12}
+    assert (a * P(ring, (1, (383, 16383)))).lt() == (16383, 16383)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,21 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import f5gb.drivers
 from f5gb.algebra import (
+    ORDER_KINDS,
     NonHomogeneousError,
+    Polynomial,
     PolynomialRing,
     ZeroPolynomialError,
     homogenize,
     interreduce,
+    normal_form,
+    spoly,
 )
+from f5gb.bench import cyclic
 from f5gb.drivers import (
     VARIANTS,
     VariantConfig,
@@ -275,6 +282,79 @@ def test_groebner_check_cases():
     xyz = PolynomialRing(32003, ("x", "y", "z"))
     assert not groebner_check(polys(xyz, "x^2 + x*z + z^2", "x*y"))
     assert groebner_check(polys(xyz, "x^2 + x*z + z^2", "x*y", "y*z^2"))
+
+
+def all_pairs_check(G):
+    """Buchberger's criterion with no pair pruning at all: the reference."""
+    Gs = [g for g in G if g]
+    return not any(normal_form(spoly(f, g), Gs) for f, g in itertools.combinations(Gs, 2))
+
+
+@st.composite
+def small_systems(draw):
+    """1-2 polynomials in x, y, or 2-3 homogeneous ones in x, y, z; 2-4 terms each.
+
+    Homogeneity in three variables keeps lex bases small; without it a lex
+    basis of three quadrics can take minutes.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 32003, 2**31 - 1)))
+    names = draw(st.sampled_from((("x", "y"), ("x", "y", "z"))))
+    ring = PolynomialRing(p, names, draw(st.sampled_from(ORDER_KINDS)))
+    F = []
+    for _ in range(draw(st.integers(1, 2) if len(names) == 2 else st.integers(2, 3))):
+        if len(names) == 2:
+            exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        else:
+            d = draw(st.integers(2, 3))
+            exps = st.tuples(st.integers(0, d), st.integers(0, d)).filter(
+                lambda e, d=d: sum(e) <= d
+            ).map(lambda e, d=d: e + (d - sum(e),))
+        terms = st.lists(st.tuples(exps, st.integers(1, p - 1)), min_size=2, max_size=4)
+        F.append(ring.from_terms(draw(terms)))
+    return [f for f in F if f] or [ring.one]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_systems(), st.data())
+def test_groebner_check_agrees_with_all_pairs(F, data):
+    B = buchberger_reduced(F)
+    assert groebner_check(B)
+    cases = [B, B + F]  # the inputs add equal and divisible heads
+    if len(B) > 1:
+        drop = data.draw(st.integers(0, len(B) - 1))
+        cases.append(B[:drop] + B[drop + 1:])
+    tails = [i for i, g in enumerate(B) if len(g.terms) > 1]
+    if tails:
+        i = data.draw(st.sampled_from(tails))
+        j = data.draw(st.integers(1, len(B[i].terms) - 1))
+        terms = list(B[i].terms)
+        k, c = terms[j]
+        terms[j] = (k, (c + 1) % B[i].ring.p)  # over F_2 the term drops out
+        changed = Polynomial(B[i].ring, tuple(t for t in terms if t[1]))
+        cases.append(B[:i] + [changed] + B[i + 1:])
+    for G in cases:
+        assert groebner_check(G) == all_pairs_check(G)
+
+
+def test_groebner_check_reduces_only_the_gebauer_moller_pairs(monkeypatch):
+    basis = f5(cyclic(5)).basis
+    heads = [g.lt() for g in basis]
+    non_coprime = sum(
+        1
+        for a, b in itertools.combinations(heads, 2)
+        if any(x and y for x, y in zip(a, b))
+    )
+    assert (len(basis), non_coprime) == (43, 780)
+    calls = []
+
+    def counting_spoly(f, g):
+        calls.append(1)
+        return spoly(f, g)
+
+    monkeypatch.setattr(f5gb.drivers, "spoly", counting_spoly)
+    assert groebner_check(basis)
+    assert len(calls) == 113
 
 
 def test_oracle_agreement_small_suite():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from f5gb.algebra import PolynomialRing
+from f5gb.algebra import ExponentOverflowError, PolynomialRing
 from f5gb.sigcore import (
     LabeledPolynomial,
     PolyStore,
@@ -74,6 +74,18 @@ def test_sig_mul(ring):
     assert sig_mul((0, 0, 2, 0), s2) == sig(ring, (0, 0, 4, 0), 2)
     with pytest.raises(ValueError):
         sig_mul((1, 0, 0, 0), ZERO_SIGNATURE)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "deglex"])
+def test_sig_mul_past_the_packed_degree_raises(kind):
+    ring = PolynomialRing(32003, ("x", "y"), kind)
+    s = Signature(ring, (16000, 1), 1)
+    assert s.mul((16000, 766)).monomial == (32000, 767)
+    assert s.mul(ring.key((0, 16766))).monomial == (16000, 16767)
+    with pytest.raises(ExponentOverflowError):
+        s.mul((16000, 767))
+    with pytest.raises(ExponentOverflowError):
+        s.mul(ring.key((0, 16767)))
 
 
 def test_signature_requires_positive_index(ring):
