@@ -226,6 +226,13 @@ class PolynomialRing:
         else:
             # lex: e_1 highest; deglex: deg then e_1 ... e_n
             self.unit_key = 0
+        # word(key) = key ^ unit_key holds e_i in field i (grevlex's M - e_i
+        # flipped back).  Exponents stay below 2**15, so bit 15 of every
+        # field is free: with it set in b's word, subtracting a's word
+        # borrows out of no field, and the bit survives in a field iff
+        # e_i(a) <= e_i(b).  divides() and the divisor scans test
+        # (word(b) | guard) - word(a) against the guard.
+        self.guard = sum(1 << (W * i + W - 1) for i in range(n))
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, ((self.unit_key, 1),))
 
@@ -287,22 +294,14 @@ class PolynomialRing:
                 f"total degree {d} exceeds the packed-key limit {_FIELD_MAX}"
             )
 
-    def divmask(self, exps) -> int:
-        """Compressed divisibility signature: divisor masks are subsets."""
-        m = 0
-        shift = 0
-        for e in exps:
-            if e:
-                b = 1
-                if e >= 2:
-                    b |= 2
-                if e >= 4:
-                    b |= 4
-                if e >= 8:
-                    b |= 8
-                m |= b << shift
-            shift += 4
-        return m
+    def word(self, key: int) -> int:
+        """The exponent word of a key: field i holds e_i (see guard)."""
+        return key ^ self.unit_key
+
+    def divides(self, ka: int, kb: int) -> bool:
+        """True when the monomial keyed ka divides the one keyed kb."""
+        g = self.guard
+        return ((self.word(kb) | g) - self.word(ka)) & g == g
 
     # -- polynomial construction ------------------------------------------
 
@@ -584,11 +583,12 @@ def is_top_reducible(m, G) -> bool:
 class ReducerSet:
     """A fixed reduction target with fast divisor lookup.
 
-    Heads are held ascending by key with divisibility masks for quick
-    rejection; lookups are memoized, so reusing one ReducerSet across many
-    reductions against the same basis amortizes the divisor search.  Ties
-    between several dividing heads go to the largest by default (prefer=-1
-    selects the smallest instead); any choice yields the same normal form.
+    Heads are held ascending by key with their exponent words, so one
+    guarded subtraction decides each divisibility test; lookups are
+    memoized, so reusing one ReducerSet across many reductions against the
+    same basis amortizes the divisor search.  Ties between several dividing
+    heads go to the largest by default (prefer=-1 selects the smallest
+    instead); any choice yields the same normal form.
     """
 
     __slots__ = ("ring", "polys", "_keys", "_cands", "_cache", "_prefer")
@@ -602,17 +602,9 @@ class ReducerSet:
         for pos in order:
             g = self.polys[pos]
             hk, hc = g.terms[0]
-            hexps = ring.exps(hk)
-            cands.append(
-                (
-                    hk,
-                    ring.divmask(hexps),
-                    hexps,
-                    ring.field.inv(hc),
-                    g.terms[1:],
-                    pos,
-                )
-            )
+            # (head key, head word, 1/lc, position, tail); the benchmark's
+            # counting pass reads the tail at index 4
+            cands.append((hk, ring.word(hk), ring.field.inv(hc), pos, g.terms[1:]))
         self._keys = [c[0] for c in cands]
         self._cands = cands
         self._cache: dict[int, tuple | None] = {}
@@ -622,23 +614,15 @@ class ReducerSet:
         hit = self._cache.get(key, 0)
         if hit != 0:
             return hit
-        exps = self.ring.exps(key)
-        mask = self.ring.divmask(exps)
+        g = self.ring.guard
+        target = self.ring.word(key) | g
         stop = bisect.bisect_right(self._keys, key)
         found = None
         scan = range(stop - 1, -1, -1) if self._prefer >= 0 else range(stop)
+        cands = self._cands
         for i in scan:
-            cand = self._cands[i]
-            if cand[1] & ~mask:
-                continue
-            gexps = cand[2]
-            ok = True
-            for ge, me in zip(gexps, exps):
-                if ge > me:
-                    ok = False
-                    break
-            if ok:
-                found = cand
+            if (target - cands[i][1]) & g == g:
+                found = cands[i]
                 break
         self._cache[key] = found
         return found
@@ -672,7 +656,7 @@ class ReducerSet:
             if cand is None:
                 out.append((key, c))
                 continue
-            gk, _, _, inv_lc, tail, pos = cand
+            gk, _, inv_lc, pos, tail = cand
             steps += 1
             fac = (c * inv_lc) % p
             if quotients is not None:
@@ -753,7 +737,7 @@ def _reduce_tails(G, with_quotients: bool):
     kept = []
     dropped = []
     for g, i in live:
-        if any(monomial_divides(h.lt(), g.lt()) for h, _ in kept):
+        if any(ring.divides(h.lt_key(), g.lt_key()) for h, _ in kept):
             dropped.append(g)
         else:
             kept.append((g, i))

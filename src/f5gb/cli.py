@@ -23,9 +23,8 @@ import json
 import sys
 
 from .algebra import (
-    NonHomogeneousError,
+    ExponentOverflowError,
     PolynomialRing,
-    ZeroPolynomialError,
     homogenize,
     interreduce,
     is_prime,
@@ -40,6 +39,10 @@ EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 
 ALGORITHMS = ("buchberger", "f5", "f5r", "f5c")
+
+# a computation that fails on parsed input exits EXIT_COMPUTE; this covers
+# NonHomogeneousError and ZeroPolynomialError, which are ValueErrors
+_COMPUTE_ERRORS = (ValueError, StoreCapExceeded, ExponentOverflowError)
 
 
 class ParseError(ValueError):
@@ -311,7 +314,7 @@ def _cmd_run(args, stdout, stderr):
         _, F = homogenize(F)
     try:
         return _run_single(args, F, stdout, stderr)
-    except (NonHomogeneousError, ZeroPolynomialError, StoreCapExceeded, ValueError) as exc:
+    except _COMPUTE_ERRORS as exc:
         print(f"computation failed: {exc}", file=stderr)
         return EXIT_COMPUTE
 
@@ -339,7 +342,7 @@ def _cmd_bench(args, stdout, stderr):
                 _write_stats(args.stats_json, [s.to_dict() for s in records])
             return EXIT_OK
         return _run_single(args, F, stdout, stderr)
-    except (NonHomogeneousError, ZeroPolynomialError, StoreCapExceeded) as exc:
+    except _COMPUTE_ERRORS as exc:
         print(f"computation failed: {exc}", file=stderr)
         return EXIT_COMPUTE
 

@@ -185,12 +185,30 @@ def f5c(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
 def _gm_entry(g):
     """(monic polynomial, head exponents, head divmask, head degree)."""
     head = g.lt()
-    return g, head, g.ring.divmask(head), sum(head)
+    return g, head, _divmask(head), sum(head)
 
 
 def _gm_pair(e1, e2, lcm, mask, serial):
     """A critical pair; its first three fields are its selection key."""
     return (sum(lcm), e1[0].ring.key(lcm), serial, lcm, mask, e1, e2)
+
+
+def _divmask(exps) -> int:
+    """Compressed divisibility signature: divisor masks are subsets."""
+    m = 0
+    shift = 0
+    for e in exps:
+        if e:
+            b = 1
+            if e >= 2:
+                b |= 2
+            if e >= 4:
+                b |= 4
+            if e >= 8:
+                b |= 8
+            m |= b << shift
+        shift += 4
+    return m
 
 
 def _divides(a, mask_a, b, mask_b) -> bool:
@@ -205,14 +223,13 @@ def _gm_update(G, pairs, h, serial):
     Returns (new G, new pairs, next serial).
     """
     _, ht, hm, hd = h
-    divmask = h[0].ring.divmask
     # new pairs (h, g): the chain criterion drops a pair whose lcm another
     # new pair's lcm divides; among equal lcms the last one stays.  Coprime
     # pairs take part in the chain test and then go (product criterion).
     C = []
     for g in G:
         lcm = tuple(map(max, ht, g[1]))
-        C.append((lcm, divmask(lcm), sum(lcm) == hd + g[3], g))
+        C.append((lcm, _divmask(lcm), sum(lcm) == hd + g[3], g))
     D = []
     for i, c in enumerate(C):
         lcm, m = c[0], c[1]
@@ -260,7 +277,7 @@ def _buchberger(F, prune: bool, stats=None):
             return
         for g in G:
             lcm = tuple(map(max, g[1], e[1]))
-            heappush(pairs, _gm_pair(g, e, lcm, g[0].ring.divmask(lcm), serial))
+            heappush(pairs, _gm_pair(g, e, lcm, _divmask(lcm), serial))
             serial += 1
         G.append(e)
 

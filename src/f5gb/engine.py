@@ -12,8 +12,9 @@ stream identical to the reference traces.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .algebra import PolynomialRing, ReducerSet
 from .sigcore import (
@@ -265,13 +266,11 @@ class F5Engine:
         signature-aware top-reduction step via top_reduction.
         """
         store = self.store
-        keyfn = lambda j: (store.sig(j).sort_key, j)  # noqa: E731
-        queue = sorted(todo, key=keyfn)
-        keys = [keyfn(j) for j in queue]
+        queue = [(store.sig(j).sort_key, j) for j in todo]
+        heapify(queue)
         done: list = []
         while queue:
-            k = queue.pop(0)
-            keys.pop(0)
+            k = heappop(queue)[1]
             entry = store.entry(k)
             h, cof = reduce_payload(
                 prev.reducers, entry.poly, entry.cofactors, prev.cofactors, self.it_stats
@@ -280,10 +279,7 @@ class F5Engine:
             completed, redo = self.top_reduction(k, prev, curr, done)
             done.extend(completed)
             for j in redo:
-                kj = keyfn(j)
-                pos = bisect.bisect_left(keys, kj)
-                keys.insert(pos, kj)
-                queue.insert(pos, j)
+                heappush(queue, (store.sig(j).sort_key, j))
         return done
 
     def top_reduction(self, k: int, prev: PrevBasis, curr, done):
@@ -335,34 +331,22 @@ class F5Engine:
         rules = self.rules
         entry = store.entry(k)
         t_key = entry.head_key
-        t_exps = entry.head_exps
-        t_mask = entry.head_mask
+        g = ring.guard
+        target = entry.head_word | g
         sig_k = entry.sig.sort_key
-        for j in curr:
-            if self._reductor_ok(j, t_key, t_exps, t_mask, sig_k, prev, rules, ring):
-                return j
-        for j in done:
-            if self._reductor_ok(j, t_key, t_exps, t_mask, sig_k, prev, rules, ring):
+        for j in chain(curr, done):
+            cand = store.entry(j)
+            if cand.head_key is None or (target - cand.head_word) & g != g:
+                continue
+            u_key = ring.key_div(t_key, cand.head_key)
+            new_sig_key = ring.key_mul(u_key, cand.sig.key)
+            if (
+                (cand.sig.index, new_sig_key) != sig_k
+                and not rules.is_rewritable(u_key, cand.sig, j)
+                and not prev.reducers.is_top_reducible(new_sig_key)
+            ):
                 return j
         return None
-
-    def _reductor_ok(self, j, t_key, t_exps, t_mask, sig_k, prev, rules, ring):
-        cand = self.store.entry(j)
-        hk = cand.head_key
-        if hk is None or cand.head_mask & ~t_mask:
-            return False
-        for ge, me in zip(cand.head_exps, t_exps):
-            if ge > me:
-                return False
-        u_key = ring.key_div(t_key, hk)
-        new_sig_key = ring.key_mul(u_key, cand.sig.key)
-        if (cand.sig.index, new_sig_key) == sig_k:
-            return False
-        if rules.is_rewritable(u_key, cand.sig, j):
-            return False
-        if prev.reducers.is_top_reducible(new_sig_key):
-            return False
-        return True
 
     # -- Algorithm: one incremental iteration --------------------------------
 

@@ -20,36 +20,10 @@ class AdmissibilityError(AssertionError):
     """A certified-mode store entry failed its admissibility check."""
 
 
-class _ZeroSignature:
-    """The distinguished signature of the zero module element.
-
-    Compares below every proper signature.  Housed for completeness; no
-    operation in this package produces it.
-    """
-
-    __slots__ = ()
-    sort_key = (0, -1)
-
-    def __repr__(self):
-        return "Signature.ZERO"
-
-    def __reduce__(self):
-        return (_zero_signature, ())
-
-
-def _zero_signature():
-    return ZERO_SIGNATURE
-
-
-ZERO_SIGNATURE = _ZeroSignature()
-
-
 class Signature:
     """(monomial, index) with index >= 1; ordered by index, then monomial."""
 
     __slots__ = ("ring", "key", "index", "sort_key")
-
-    ZERO = ZERO_SIGNATURE
 
     def __init__(self, ring: PolynomialRing, monomial, index: int):
         if index < 1:
@@ -71,8 +45,6 @@ class Signature:
         return Signature(ring, ring.key_mul(ukey, self.key), self.index)
 
     def __eq__(self, other):
-        if other is ZERO_SIGNATURE:
-            return False
         return (
             isinstance(other, Signature)
             and self.index == other.index
@@ -88,7 +60,7 @@ class Signature:
 
 
 def sig_cmp(a, b) -> int:
-    """-1 | 0 | 1; the zero signature sits below everything else."""
+    """-1 | 0 | 1 as a is below, equal to, or above b."""
     ka = a.sort_key
     kb = b.sort_key
     if ka < kb:
@@ -99,9 +71,7 @@ def sig_cmp(a, b) -> int:
 
 
 def sig_mul(u, s: Signature) -> Signature:
-    """Multiply a proper signature by a monomial; rejects the zero signature."""
-    if s is ZERO_SIGNATURE:
-        raise ValueError("cannot multiply the zero signature")
+    """Multiply a signature by a monomial."""
     return s.mul(u)
 
 
@@ -193,7 +163,7 @@ def compose_cofactors(ring, combo, cofs):
 class LabeledPolynomial:
     """One store entry: a fixed signature plus a mutable polynomial payload."""
 
-    __slots__ = ("sig", "poly", "cofactors", "head_key", "head_exps", "head_mask")
+    __slots__ = ("sig", "poly", "cofactors", "head_key", "head_exps", "head_word")
 
     def __init__(self, sig: Signature, poly: Polynomial, cofactors=None):
         self.sig = sig
@@ -206,11 +176,11 @@ class LabeledPolynomial:
             ring = poly.ring
             self.head_key = poly.terms[0][0]
             self.head_exps = ring.exps(self.head_key)
-            self.head_mask = ring.divmask(self.head_exps)
+            self.head_word = ring.word(self.head_key)
         else:
             self.head_key = None
             self.head_exps = None
-            self.head_mask = None
+            self.head_word = None
 
     def __repr__(self):
         return f"LabeledPolynomial({self.sig!r}, {self.poly!r})"
@@ -337,51 +307,34 @@ class RuleTable:
         """Entries of Rules_nu as (monomial exponents, store index) pairs."""
         self.ensure_index(nu)
         ring = self.ring
-        return [(ring.exps(mk), j) for mk, _, _, j in self._lists[nu]]
+        return [(ring.exps(mk), j) for mk, _, j in self._lists[nu]]
 
     def index_count(self) -> int:
         return len(self._lists) - 1
 
     def add_rule(self, sig: Signature, k: int):
         """Append (sig monomial, k) to Rules_{sig.index}; k = 0 is the phantom."""
-        if sig is ZERO_SIGNATURE:
-            raise ValueError("cannot record a rule for the zero signature")
         self.ensure_index(sig.index)
         rules = self._lists[sig.index]
         if k:
-            for _, _, _, j in reversed(rules):
+            for _, _, j in reversed(rules):
                 if j:
                     if k <= j:
                         raise ValueError(
                             f"rule store-indices must increase: {k} after {j}"
                         )
                     break
-        ring = self.ring
-        exps = ring.exps(sig.key)
-        rules.append((sig.key, exps, ring.divmask(exps), k))
+        rules.append((sig.key, self.ring.word(sig.key), k))
 
     def find_rewriting(self, u, sig: Signature, k: int) -> int:
         """Latest rule of Rules_{sig.index} whose monomial divides u*mu, else k."""
-        ukey = u if isinstance(u, int) else self.ring.key(u)
-        target_key = self.ring.key_mul(ukey, sig.key)
-        self.ensure_index(sig.index)
-        rules = self._lists[sig.index]
-        if not rules:
-            return k
         ring = self.ring
-        texps = ring.exps(target_key)
-        tmask = ring.divmask(texps)
-        for mk, mexps, mmask, j in reversed(rules):
-            if mmask & ~tmask:
-                continue
-            if mk == target_key:
-                return j
-            ok = True
-            for ge, me in zip(mexps, texps):
-                if ge > me:
-                    ok = False
-                    break
-            if ok:
+        ukey = u if isinstance(u, int) else ring.key(u)
+        self.ensure_index(sig.index)
+        g = ring.guard
+        target = ring.word(ring.key_mul(ukey, sig.key)) | g
+        for _, word, j in reversed(self._lists[sig.index]):
+            if (target - word) & g == g:
                 return j
         return k
 

@@ -1,9 +1,15 @@
 """Shared fixtures: the worked three-generator ideal and string helpers."""
 
 import pytest
+from hypothesis import settings
 
 from f5gb.algebra import PolynomialRing
 from f5gb.cli import parse_polynomial
+
+# every property test draws the same examples on every run and writes no
+# example database
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def poly(ring, text):

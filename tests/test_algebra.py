@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from f5gb.algebra import (
+    ORDER_KINDS,
     ArityError,
     ExponentOverflowError,
     NotDivisibleError,
@@ -181,6 +183,54 @@ def test_products_past_the_packed_degree_raise(kind):
     c = b2.term_mul((0, 765), 3)
     assert c.dict() == {(32000, 767): 3, (16000, 16767): 12, (0, 32767): 12}
     assert (a * P(ring, (1, (383, 16383)))).lt() == (16383, 16383)
+
+
+@st.composite
+def monomials(draw, n, budget):
+    """n exponents of total degree at most budget; 0, 16383 and the rest of
+    the budget are drawn often."""
+    exps = []
+    for _ in range(n):
+        e = draw(
+            st.one_of(
+                st.integers(0, 3), st.integers(0, 16383), st.just(16383), st.just(budget)
+            )
+        )
+        e = min(e, budget)
+        budget -= e
+        exps.append(e)
+    return tuple(exps)
+
+
+@st.composite
+def divisibility_cases(draw):
+    """(ring, a, b) up to the packed limit 32767; b is often a, the unit
+    monomial, a times one variable, or another multiple of a."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(ORDER_KINDS))
+    ring = PolynomialRing(32003, tuple(f"x{i}" for i in range(n)), kind)
+    a = draw(monomials(n, 32766))
+    how = draw(st.sampled_from(("any", "equal", "unit", "times_var", "multiple")))
+    if how == "any":
+        b = draw(monomials(n, 32767))
+    elif how == "equal":
+        b = a
+    elif how == "unit":
+        b = (0,) * n
+    elif how == "times_var":
+        i = draw(st.integers(0, n - 1))
+        b = a[:i] + (a[i] + 1,) + a[i + 1:]
+    else:
+        b = monomial_mul(a, draw(monomials(n, 32767 - sum(a))))
+    return ring, a, b
+
+
+@given(divisibility_cases())
+def test_key_divisibility_agrees_with_exponent_tuples(case):
+    ring, a, b = case
+    ka, kb = ring.key(a), ring.key(b)
+    assert ring.divides(ka, kb) == monomial_divides(a, b)
+    assert ring.divides(kb, ka) == monomial_divides(b, a)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,19 @@ def test_run_store_cap_is_compute_error(tmp_path):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("algorithm", ["f5", "f5c"])
+def test_run_packed_key_overflow_is_compute_error(tmp_path, algorithm):
+    # the pair's lcm x^16383*y^16383*z^2 has total degree 32768
+    path = tmp_path / "big.ideal"
+    path.write_text(
+        "ring: x,y,z\nchar: 32003\npolys:\n"
+        "x^16383*y^16383 - x^16383*y^16382*z\nz^2\n"
+    )
+    code, _, err = run(["run", "--input", str(path), "--algorithm", algorithm])
+    assert code == EXIT_COMPUTE
+    assert err.startswith("computation failed") and "32767" in err
+
+
 def test_usage_errors_exit_one():
     code, _, _ = run(["run", "--algorithm", "f5"])  # missing --input
     assert code == EXIT_USAGE

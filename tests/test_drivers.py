@@ -314,8 +314,7 @@ def small_systems(draw):
     return [f for f in F if f] or [ring.one]
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(small_systems(), st.data())
 def test_groebner_check_agrees_with_all_pairs(F, data):
     B = buchberger_reduced(F)
