@@ -27,7 +27,7 @@ from .algebra import (
     spoly,
     top_reduce_step,
 )
-from .bench import RunStats, compare_variants, cyclic, katsura
+from .bench import compare_variants, cyclic, katsura
 from .drivers import (
     BasisResult,
     VariantConfig,
@@ -38,6 +38,7 @@ from .drivers import (
     groebner_check,
     setup_reduced_basis,
 )
+from .engine import RunStats
 from .sigcore import Signature, StoreCapExceeded, admissible_check, sig_cmp, sig_mul
 
 __version__ = "0.1.0"

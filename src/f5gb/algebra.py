@@ -71,14 +71,8 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -437,13 +431,6 @@ class Polynomial:
         exps = self.ring.exps
         return [exps(k) for k, _ in self.terms]
 
-    def coeff(self, exps) -> int:
-        k = self.ring.key(exps)
-        for key, c in self.terms:
-            if key == k:
-                return c
-        return 0
-
     def dict(self):
         exps = self.ring.exps
         return {exps(k): c for k, c in self.terms}
@@ -496,9 +483,6 @@ class Polynomial:
             ring.check_degree(self.degree() + ring.key_degree(ku))
         off = ku - ring.unit_key
         return Polynomial(ring, tuple((k + off, (c * t) % ring.p) for k, t in self.terms))
-
-    def monomial_mul(self, exps) -> Polynomial:
-        return self.term_mul(exps, 1)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         ring = self.ring

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 from .algebra import PolynomialRing, interreduce
 from .drivers import VariantConfig, buchberger_reduced, run_variant
-from .engine import IterationStats, RunStats  # re-exported stats types
 
 __all__ = [
-    "IterationStats",
-    "RunStats",
     "katsura",
     "cyclic",
     "compare_variants",

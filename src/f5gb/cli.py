@@ -219,33 +219,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="f5gb", description="Signature-based Groebner bases")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="compute a basis for a system file")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--skip-rule-rebuild", action="store_true")
+    common.add_argument("--certified", action="store_true")
+    common.add_argument("--verbose", action="store_true")
+    common.add_argument("--stats-json", metavar="FILE")
+    common.add_argument("--store-cap", type=_positive_int, default=1_000_000)
+
+    run = sub.add_parser("run", parents=[common], help="compute a basis for a system file")
     run.add_argument("--input", required=True, help="system file path")
     run.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    run.add_argument("--skip-rule-rebuild", action="store_true")
-    run.add_argument("--certified", action="store_true")
     run.add_argument("--homogenize", action="store_true")
-    run.add_argument("--verbose", action="store_true")
-    run.add_argument("--stats-json", metavar="FILE")
-    run.add_argument("--store-cap", type=int, default=1_000_000)
     run.add_argument("--char", type=int, default=None,
                      help="override the file's characteristic")
 
-    bench = sub.add_parser("bench", help="run generated benchmark systems")
+    bench = sub.add_parser("bench", parents=[common], help="run generated benchmark systems")
     bench.add_argument("--system", required=True, choices=("katsura", "cyclic"))
     bench.add_argument("--n", required=True, type=int)
     bench.add_argument("--char", type=int, default=32003)
     bench.add_argument("--algorithm", required=True,
                        choices=ALGORITHMS + ("all",))
-    bench.add_argument("--skip-rule-rebuild", action="store_true")
-    bench.add_argument("--certified", action="store_true")
-    bench.add_argument("--verbose", action="store_true")
-    bench.add_argument("--stats-json", metavar="FILE")
-    bench.add_argument("--store-cap", type=int, default=1_000_000)
     return parser
 
 
@@ -286,7 +290,6 @@ def _run_single(args, F, stdout, stderr):
         reduced = result.basis if result.reduced else interreduce(result.basis)
         oracle = buchberger_reduced(F)
         result.stats.reduced_basis_agrees_with_oracle = reduced == oracle
-        result.stats.basis_size_final = len(result.basis)
         _write_stats(args.stats_json, result.stats.to_dict())
     return EXIT_OK
 
@@ -312,11 +315,7 @@ def _cmd_run(args, stdout, stderr):
         F = [ring.from_terms(f.dict().items()) for f in F]
     if args.homogenize and any(not f.is_homogeneous() for f in F):
         _, F = homogenize(F)
-    try:
-        return _run_single(args, F, stdout, stderr)
-    except _COMPUTE_ERRORS as exc:
-        print(f"computation failed: {exc}", file=stderr)
-        return EXIT_COMPUTE
+    return _run_single(args, F, stdout, stderr)
 
 
 def _cmd_bench(args, stdout, stderr):
@@ -325,26 +324,20 @@ def _cmd_bench(args, stdout, stderr):
     except ValueError as exc:
         print(str(exc), file=stderr)
         return EXIT_USAGE
-    try:
-        if args.algorithm == "all":
-            records = compare_variants(
-                F, certified=args.certified, store_cap=args.store_cap
-            )
-            for stats in records:
-                agree = stats.reduced_basis_agrees_with_oracle
-                print(
-                    f"{stats.algorithm}: reduction_steps={stats.reduction_steps} "
-                    f"zero_reductions={stats.zero_reductions} "
-                    f"basis_size_final={stats.basis_size_final} agreement={agree}",
-                    file=stdout,
-                )
-            if args.stats_json:
-                _write_stats(args.stats_json, [s.to_dict() for s in records])
-            return EXIT_OK
+    if args.algorithm != "all":
         return _run_single(args, F, stdout, stderr)
-    except _COMPUTE_ERRORS as exc:
-        print(f"computation failed: {exc}", file=stderr)
-        return EXIT_COMPUTE
+    records = compare_variants(F, certified=args.certified, store_cap=args.store_cap)
+    for stats in records:
+        agree = stats.reduced_basis_agrees_with_oracle
+        print(
+            f"{stats.algorithm}: reduction_steps={stats.reduction_steps} "
+            f"zero_reductions={stats.zero_reductions} "
+            f"basis_size_final={stats.basis_size_final} agreement={agree}",
+            file=stdout,
+        )
+    if args.stats_json:
+        _write_stats(args.stats_json, [s.to_dict() for s in records])
+    return EXIT_OK
 
 
 def run_command(argv, stdout=None, stderr=None) -> int:
@@ -359,9 +352,12 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     if args.skip_rule_rebuild and args.algorithm != "f5c":
         print("f5gb: error: --skip-rule-rebuild applies to --algorithm f5c only", file=stderr)
         return EXIT_USAGE
-    if args.command == "run":
-        return _cmd_run(args, stdout, stderr)
-    return _cmd_bench(args, stdout, stderr)
+    command = _cmd_run if args.command == "run" else _cmd_bench
+    try:
+        return command(args, stdout, stderr)
+    except _COMPUTE_ERRORS as exc:
+        print(f"computation failed: {exc}", file=stderr)
+        return EXIT_COMPUTE
 
 
 def main() -> None:

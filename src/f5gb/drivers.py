@@ -9,15 +9,15 @@ in how the previous basis is carried between iterations:
 * f5c rebuilds the store and rewrite rules around the reduced basis after
   every iteration, so later iterations see fewer generators.
 
-buchberger_reduced is the correctness oracle: a Gebauer-Moller-pruned
-Buchberger loop that shares only the plain polynomial arithmetic with the
-engine.
+buchberger_reduced is the correctness oracle: a Buchberger loop under the
+Gebauer-Moller criteria that shares only the plain polynomial arithmetic with
+the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop
 from operator import le
 
 from .algebra import (
@@ -162,15 +162,13 @@ def run_variant(F, config: VariantConfig, trace=None) -> BasisResult:
 
 def f5(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
     """The incremental signature-based computation; output is the raw basis."""
-    cfg = replace(config or VariantConfig(), variant="f5", skip_rule_rebuild=False)
-    return run_variant(F, cfg, trace)
+    return run_variant(F, replace(config or VariantConfig(), variant="f5"), trace)
 
 
 def f5r(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
     """Same pair/S-polynomial stream as f5, but normal forms run against the
     interreduced previous basis; output matches f5's raw basis."""
-    cfg = replace(config or VariantConfig(), variant="f5r", skip_rule_rebuild=False)
-    return run_variant(F, cfg, trace)
+    return run_variant(F, replace(config or VariantConfig(), variant="f5r"), trace)
 
 
 def f5c(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
@@ -216,7 +214,7 @@ def _divides(a, mask_a, b, mask_b) -> bool:
 
 
 def _gm_update(G, pairs, h, serial):
-    """Gebauer-Moller pair update: add the entry h to G, prune new and old pairs.
+    """Gebauer-Moller pair update: add the entry h to G, drop new and old pairs.
 
     G holds _gm_entry tuples and pairs holds _gm_pair tuples; serials number
     the pairs in creation order and make the selection key a total order.
@@ -256,7 +254,12 @@ def _gm_update(G, pairs, h, serial):
     return new_G, new_pairs, serial + len(E)
 
 
-def _buchberger(F, prune: bool, stats=None):
+def buchberger_reduced(F):
+    """The unique reduced Groebner basis of <F> via Gebauer-Moller Buchberger.
+
+    Independent of the signature engine: shares only the polynomial
+    arithmetic layer.  Input need not be homogeneous.
+    """
     fs = [f for f in F if f]
     if not fs:
         raise ValueError("empty input system")
@@ -267,19 +270,10 @@ def _buchberger(F, prune: bool, stats=None):
 
     def add(f):
         nonlocal G, pairs, serial
-        h = normal_form(f, [g[0] for g in G], stats=stats)
-        if h.is_zero():
-            return
-        e = _gm_entry(h.monic())
-        if prune:
-            G, pairs, serial = _gm_update(G, pairs, e, serial)
+        h = normal_form(f, [g[0] for g in G])
+        if h:
+            G, pairs, serial = _gm_update(G, pairs, _gm_entry(h.monic()), serial)
             heapify(pairs)
-            return
-        for g in G:
-            lcm = tuple(map(max, g[1], e[1]))
-            heappush(pairs, _gm_pair(g, e, lcm, _divmask(lcm), serial))
-            serial += 1
-        G.append(e)
 
     for f in fs:
         add(f)
@@ -287,20 +281,6 @@ def _buchberger(F, prune: bool, stats=None):
         g1, g2 = heappop(pairs)[5:]
         add(spoly(g1[0], g2[0]))
     return interreduce([g[0] for g in G])
-
-
-def buchberger_reduced(F, stats=None):
-    """The unique reduced Groebner basis of <F> via Gebauer-Moller Buchberger.
-
-    Independent of the signature engine: shares only the polynomial
-    arithmetic layer.  Input need not be homogeneous.
-    """
-    return _buchberger(F, prune=True, stats=stats)
-
-
-def buchberger_reduced_unpruned(F, stats=None):
-    """Criteria-free Buchberger; cross-checks the pair pruning on small inputs."""
-    return _buchberger(F, prune=False, stats=stats)
 
 
 def groebner_check(G) -> bool:
@@ -316,7 +296,7 @@ def groebner_check(G) -> bool:
     reduces to zero over G.  Conversely, if every surviving pair reduces to
     zero, the Gebauer-Moller Buchberger algorithm run on G (Gebauer & Moller,
     JSC 1988) would add nothing and stop, and its correctness theorem makes G
-    a Groebner basis: each pair it pruned has a standard representation
+    a Groebner basis: each pair it dropped has a standard representation
     through the chain of kept pairs that justified the pruning, and the
     serial tie-break keeps those chains from resting on each other.
     """

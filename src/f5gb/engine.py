@@ -125,25 +125,6 @@ class CriticalPair:
         )
 
 
-class PairQueue:
-    """Pending critical pairs bucketed by lcm degree, popped lowest first."""
-
-    __slots__ = ("_buckets",)
-
-    def __init__(self):
-        self._buckets: dict = {}
-
-    def __bool__(self):
-        return bool(self._buckets)
-
-    def push(self, pair: CriticalPair):
-        self._buckets.setdefault(pair.degree, []).append(pair)
-
-    def pop_min_degree(self):
-        d = min(self._buckets)
-        return d, self._buckets.pop(d)
-
-
 class PrevBasis:
     """The previous iteration's basis: reduction target plus criterion heads.
 
@@ -165,10 +146,10 @@ class F5Engine:
     def __init__(
         self,
         ring: PolynomialRing,
+        stats: RunStats,
         store_cap: int = 1_000_000,
         certified: bool = False,
         trace=None,
-        stats: RunStats | None = None,
     ):
         self.ring = ring
         self.store = PolyStore(ring, cap=store_cap, certified=certified)
@@ -183,11 +164,8 @@ class F5Engine:
         if self.trace is not None:
             self.trace(line)
 
-    def begin_iteration(self, i: int) -> IterationStats:
-        self.it_stats = (
-            self.stats.new_iteration(i) if self.stats is not None else IterationStats(i=i)
-        )
-        return self.it_stats
+    def begin_iteration(self, i: int):
+        self.it_stats = self.stats.new_iteration(i)
 
     # -- Algorithm: critical pairs ------------------------------------------
 
@@ -360,17 +338,18 @@ class F5Engine:
         curridx = self.store.size
         curr = list(prev_indices) + [curridx]
         self.rules.ensure_index(i)
-        pending = PairQueue()
+        pending: dict = {}  # lcm degree -> critical pairs, popped lowest first
 
         def add_pair(k, l):
             cp = self.critical_pair(k, l, i, prev)
             if cp is not None:
-                pending.push(cp)
+                pending.setdefault(cp.degree, []).append(cp)
 
         for j in prev_indices:
             add_pair(curridx, j)
         while pending:
-            d, batch = pending.pop_min_degree()
+            d = min(pending)
+            batch = pending.pop(d)
             self.emit(f"Processing {len(batch)} critical pairs of degree {d}")
             stats = self.it_stats
             stats.pairs_by_degree[d] = stats.pairs_by_degree.get(d, 0) + len(batch)

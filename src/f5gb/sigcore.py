@@ -204,9 +204,6 @@ class PolyStore:
         self._entries: list[LabeledPolynomial | None] = [None]
         self._pinned_sigs: list = [None]
 
-    def __len__(self):
-        return len(self._entries) - 1
-
     @property
     def size(self) -> int:
         return len(self._entries) - 1

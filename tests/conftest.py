@@ -1,10 +1,19 @@
 """Shared fixtures: the worked three-generator ideal and string helpers."""
 
+import os
+import tempfile
+
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from f5gb.algebra import PolynomialRing
 from f5gb.cli import parse_polynomial
+
+# hypothesis still caches the literals it scans from src/ (they seed its
+# draws, so editing a constant there can change the examples); keep that
+# cache out of the source tree
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "f5gb-hypothesis"))
 
 # every property test draws the same examples on every run and writes no
 # example database

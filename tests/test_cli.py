@@ -205,14 +205,39 @@ def test_run_homogenize_option(tmp_path):
     assert len(out.splitlines()) >= 2
 
 
-def test_run_store_cap_is_compute_error(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--input", "APP", "--algorithm", "f5"],
+        ["bench", "--system", "katsura", "--n", "3", "--algorithm", "all"],
+    ],
+    ids=["run", "bench"],
+)
+def test_run_store_cap_is_compute_error(tmp_path, argv):
     path = tmp_path / "app.ideal"
     path.write_text(APPENDIX_FILE)
-    code, _, err = run(
-        ["run", "--input", str(path), "--algorithm", "f5", "--store-cap", "4"]
-    )
+    argv = [str(path) if a == "APP" else a for a in argv]
+    code, _, err = run(argv + ["--store-cap", "4"])
     assert code == EXIT_COMPUTE
-    assert "cap" in err
+    assert err.startswith("computation failed") and "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--input", "unread.ideal", "--algorithm", "f5"],
+        ["bench", "--system", "katsura", "--n", "2", "--algorithm", "f5"],
+        ["bench", "--system", "katsura", "--n", "2", "--algorithm", "buchberger"],
+    ],
+    ids=["run", "bench-f5", "bench-buchberger"],
+)
+def test_non_positive_store_cap_is_usage_error(argv, cap, capsys):
+    code, out, _ = run(argv + ["--store-cap", cap])
+    assert code == EXIT_USAGE
+    assert out == ""
+    err = capsys.readouterr().err  # argparse reports on sys.stderr
+    assert "--store-cap" in err and "positive" in err
 
 
 @pytest.mark.parametrize("algorithm", ["f5", "f5c"])

@@ -22,7 +22,6 @@ from f5gb.drivers import (
     VARIANTS,
     VariantConfig,
     buchberger_reduced,
-    buchberger_reduced_unpruned,
     f5,
     f5c,
     f5r,
@@ -229,9 +228,13 @@ def test_skip_rule_rebuild_equivalence(appendix_system):
     assert plain.stats.zero_reductions == skipped.stats.zero_reductions
 
 
-def test_skip_rule_rebuild_only_valid_for_f5c():
+def test_skip_rule_rebuild_only_valid_for_f5c(appendix_system):
     with pytest.raises(ValueError):
         VariantConfig("f5", skip_rule_rebuild=True)
+    # the f5 and f5r wrappers keep the flag, so their configs reject it too
+    for driver in (f5, f5r):
+        with pytest.raises(ValueError):
+            driver(appendix_system, VariantConfig("f5c", skip_rule_rebuild=True))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +261,23 @@ def test_buchberger_affine_cross_check_against_homogenized_f5c():
     assert interreduce(dehom) == direct
 
 
+def criteria_free_buchberger(F):
+    """Buchberger with every pair and no criteria: the reference for the oracle.
+
+    Inputs, then the S-polynomial of each new pair, are reduced first in,
+    first out; a nonzero remainder joins G and pairs with every element.
+    """
+    G = []
+    todo = list(F)
+    while todo:
+        h = normal_form(todo.pop(0), G)
+        if h:
+            h = h.monic()
+            todo += [spoly(g, h) for g in G]
+            G.append(h)
+    return interreduce(G)
+
+
 def test_gebauer_moller_matches_unpruned_buchberger():
     ring3 = PolynomialRing(101, ("x", "y", "z"))
     systems = [
@@ -267,7 +287,7 @@ def test_gebauer_moller_matches_unpruned_buchberger():
         polys(ring3, "x^2*y - z", "y^2 - x", "z^2 - y"),
     ]
     for F in systems:
-        assert buchberger_reduced(F) == buchberger_reduced_unpruned(F)
+        assert buchberger_reduced(F) == criteria_free_buchberger(F)
 
 
 def test_groebner_check_cases():
