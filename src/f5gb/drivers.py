@@ -29,7 +29,7 @@ from .algebra import (
     interreduce_with_cofactors,
     monomial_div,
     monomial_lcm,
-    normal_form,
+    normal_form,  # unused here, but perfbench/tracer.py wraps drivers.normal_form
     spoly,
 )
 from .engine import F5Engine, PrevBasis, RunStats
@@ -258,21 +258,25 @@ def buchberger_reduced(F):
     """The unique reduced Groebner basis of <F> via Gebauer-Moller Buchberger.
 
     Independent of the signature engine: shares only the polynomial
-    arithmetic layer.  Input need not be homogeneous.
+    arithmetic layer.  Input need not be homogeneous.  Inputs and
+    S-polynomials are normal-formed by one ReducerSet over G, rebuilt only
+    when G changes, so its divisor cache serves every reduction in between.
     """
     fs = [f for f in F if f]
     if not fs:
         raise ValueError("empty input system")
     fs = sorted((f.monic() for f in fs), key=lambda f: (f.degree(), f.lt_key()))
     G: list = []
+    reducers = ReducerSet(fs[0].ring, [])
     pairs: list = []  # a heap on the selection key (lcm degree, lcm key, serial)
     serial = 0
 
     def add(f):
-        nonlocal G, pairs, serial
-        h = normal_form(f, [g[0] for g in G])
+        nonlocal G, reducers, pairs, serial
+        h = reducers.reduce_full(f)
         if h:
             G, pairs, serial = _gm_update(G, pairs, _gm_entry(h.monic()), serial)
+            reducers = ReducerSet(h.ring, [g[0] for g in G])
             heapify(pairs)
 
     for f in fs:

@@ -239,21 +239,23 @@ class F5Engine:
     def reduction(self, todo, prev: PrevBasis, curr) -> list:
         """Reduce queued S-polynomials; returns survivors in completion order.
 
-        Each pop takes the minimal remaining signature, fully normal-forms
-        the payload against the previous basis, then attempts one
+        Each S-polynomial is first normal-formed against the previous basis.
+        Every payload the loop meets is then a normal form, so each pop
+        takes the minimal remaining signature and attempts one
         signature-aware top-reduction step via top_reduction.
         """
         store = self.store
+        for j in todo:
+            entry = store.entry(j)
+            h, cof = reduce_payload(
+                prev.reducers, entry.poly, entry.cofactors, prev.cofactors, self.it_stats
+            )
+            store.set_poly(j, h, cof)
         queue = [(store.sig(j).sort_key, j) for j in todo]
         heapify(queue)
         done: list = []
         while queue:
             k = heappop(queue)[1]
-            entry = store.entry(k)
-            h, cof = reduce_payload(
-                prev.reducers, entry.poly, entry.cofactors, prev.cofactors, self.it_stats
-            )
-            store.set_poly(k, h, cof)
             completed, redo = self.top_reduction(k, prev, curr, done)
             done.extend(completed)
             for j in redo:
@@ -265,7 +267,9 @@ class F5Engine:
 
         Returns (completed, redo).  A zero payload counts as a reduction to
         zero; a safe step replaces the payload and requeues k; an unsafe step
-        spawns a new store entry carrying the larger signature.
+        spawns a new store entry carrying the larger signature.  Both store a
+        normal form: the payload h of k is one, and normal forms against the
+        previous basis are linear, so NF(h - c*u*r) = h + NF(-c*u*r).
         """
         ring = self.ring
         store = self.store
@@ -285,9 +289,11 @@ class F5Engine:
         red = store.entry(j)
         u_key = ring.key_div(entry.head_key, red.head_key)
         c = ring.field.div(entry.poly.lc(), red.poly.lc())
-        p = entry.poly - red.poly.term_mul_key(u_key, c)
-        self.it_stats.reduction_steps += 1
+        multiple = red.poly.term_mul_key(u_key, ring.p - c)  # -c*u*r
         cof = cofactors_sub(ring, entry.cofactors, red.cofactors, u_key, c)
+        nf, cof = reduce_payload(prev.reducers, multiple, cof, prev.cofactors, self.it_stats)
+        p = entry.poly + nf
+        self.it_stats.reduction_steps += 1
         if p:
             inv = ring.field.inv(p.lc())
             if inv != 1:

@@ -233,11 +233,12 @@ def test_run_store_cap_is_compute_error(tmp_path, argv):
     ids=["run", "bench-f5", "bench-buchberger"],
 )
 def test_non_positive_store_cap_is_usage_error(argv, cap, capsys):
-    code, out, _ = run(argv + ["--store-cap", cap])
+    code, out, err = run(argv + ["--store-cap", cap])
     assert code == EXIT_USAGE
     assert out == ""
-    err = capsys.readouterr().err  # argparse reports on sys.stderr
     assert "--store-cap" in err and "positive" in err
+    # the usage error goes to the stream run_command was given
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("algorithm", ["f5", "f5c"])

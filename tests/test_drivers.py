@@ -290,6 +290,32 @@ def test_gebauer_moller_matches_unpruned_buchberger():
         assert buchberger_reduced(F) == criteria_free_buchberger(F)
 
 
+def test_oracle_builds_one_reducer_set_per_basis_change(monkeypatch):
+    # the oracle reduces every input and S-polynomial against one ReducerSet
+    # and rebuilds it only when _gm_update changes G; normal_form would
+    # build a fresh set on every call
+    counts = {"builds": 0, "changes": 0}
+
+    def counted(name, counter):
+        original = getattr(f5gb.drivers, name)
+
+        def wrapper(*args, **kwargs):
+            counts[counter] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(f5gb.drivers, name, wrapper)
+
+    counted("ReducerSet", "builds")
+    counted("normal_form", "builds")
+    counted("_gm_update", "changes")
+    F = cyclic(5, 101)
+    basis = buchberger_reduced(F)
+    assert counts["changes"] > 0
+    assert counts["builds"] <= counts["changes"] + 1
+    monkeypatch.undo()
+    assert basis == criteria_free_buchberger(F)
+
+
 def test_groebner_check_cases():
     ring = PolynomialRing(32003, ("x", "y"), "lex")
     assert groebner_check(polys(ring, "x + y", "y"))

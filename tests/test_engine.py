@@ -4,8 +4,10 @@ The concrete expected values come from a hand trace of the worked
 three-generator ideal; each intermediate matches the published run.
 """
 
+import pytest
+
 from f5gb.algebra import PolynomialRing
-from f5gb.engine import F5Engine, PrevBasis, RunStats
+from f5gb.engine import F5Engine, IterationStats, PrevBasis, RunStats
 from f5gb.sigcore import Signature
 from tests.conftest import poly, polys
 
@@ -301,3 +303,79 @@ def test_degree_stream_nondecreasing_and_rule_appends_match_store(xyzt, appendix
         if engine.store.sig(k).monomial != (0, 0, 0, 0)
     )
     assert recorded == expected
+
+
+# pinned counters of each variant: (pairs, spolys, reduction_steps,
+# zero_reductions) and the final basis size; a kernel change that keeps the
+# algorithm must keep every one of them
+GOLDEN_RUN_STATS = {
+    ("katsura-5", "f5"): ((36, 28, 919, 0), 34),
+    ("katsura-5", "f5r"): ((36, 28, 506, 0), 34),
+    ("katsura-5", "f5c"): ((29, 28, 420, 0), 22),
+    ("cyclic-5", "f5"): ((71, 38, 271, 0), 43),
+    ("cyclic-5", "f5r"): ((71, 38, 264, 0), 43),
+    ("cyclic-5", "f5c"): ((48, 38, 261, 0), 38),
+}
+
+
+@pytest.mark.parametrize("name, variant", sorted(GOLDEN_RUN_STATS))
+def test_run_stats_golden(name, variant):
+    from f5gb.bench import cyclic, katsura
+    from f5gb.drivers import VariantConfig, run_variant
+
+    F = katsura(5) if name == "katsura-5" else cyclic(5)
+    totals, size = GOLDEN_RUN_STATS[name, variant]
+    plain = run_variant(F, VariantConfig(variant))
+    assert tuple(plain.stats.totals().values()) == totals
+    assert plain.stats.basis_size_final == size
+    certified = run_variant(F, VariantConfig(variant, certified=True))
+    assert certified.basis == plain.basis
+    assert certified.stats.to_dict() == plain.stats.to_dict()
+
+
+def _is_normal_form(reducers, f):
+    steps = IterationStats(i=0)
+    return reducers.reduce_full(f, stats=steps) == f and steps.reduction_steps == 0
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
+def test_stored_payloads_are_normal_forms(certified, monkeypatch):
+    # top_reduction stores a normal form against the previous basis in both
+    # branches, and every survivor of reduction is one
+    from f5gb.bench import cyclic, katsura
+    from f5gb.drivers import VARIANTS, VariantConfig, run_variant
+
+    orig_top, orig_reduction = F5Engine.top_reduction, F5Engine.reduction
+    checked = {"safe": 0, "unsafe": 0, "survivor": 0}
+
+    def top_reduction(self, k, prev, curr, done):
+        completed, redo = orig_top(self, k, prev, curr, done)
+        if redo:
+            # safe: (k,) rewritten in place; unsafe: (k, new entry)
+            branch = "safe" if len(redo) == 1 else "unsafe"
+            stored = redo[-1]
+            assert _is_normal_form(prev.reducers, self.store.poly(stored)), (branch, stored)
+            checked[branch] += 1
+        return completed, redo
+
+    def reduction(self, todo, prev, curr):
+        done = orig_reduction(self, todo, prev, curr)
+        for k in done:
+            assert _is_normal_form(prev.reducers, self.store.poly(k)), k
+            checked["survivor"] += 1
+        return done
+
+    monkeypatch.setattr(F5Engine, "top_reduction", top_reduction)
+    monkeypatch.setattr(F5Engine, "reduction", reduction)
+    # the deglex system drives the unsafe branch (see the organic test above)
+    ring = PolynomialRing(7, ("w", "x", "y"), "deglex")
+    unsafe_system = polys(
+        ring,
+        "w^2*x + w*x*y - 2*w*y^2 + x^3 + 2*x*y^2",
+        "-3*w^2*x + 2*w*x^2",
+        "-3*w^2*y + 2*w*y^2 + 2*x*y^2",
+    )
+    for F in (katsura(4, 101), cyclic(5, 101), unsafe_system):
+        for variant in VARIANTS:
+            run_variant(F, VariantConfig(variant, certified=certified))
+    assert all(checked.values()), checked
