@@ -485,27 +485,7 @@ class Polynomial:
         return Polynomial(ring, tuple((k + off, (c * t) % ring.p) for k, t in self.terms))
 
     def __mul__(self, other: Polynomial) -> Polynomial:
-        ring = self.ring
-        if not self.terms or not other.terms:
-            return ring.zero
-        if not (ring._graded and self.terms[0][0] + other.terms[0][0] < ring._deg_cap):
-            ring.check_degree(self.degree() + other.degree())
-        p = ring.p
-        unit = ring.unit_key
-        acc: dict[int, int] = {}
-        get = acc.get
-        for ka, ca in self.terms:
-            off = ka - unit
-            for kb, cb in other.terms:
-                k = off + kb
-                nc = (get(k, 0) + ca * cb) % p
-                if nc:
-                    acc[k] = nc
-                else:
-                    acc.pop(k, None)
-        return Polynomial(
-            ring, tuple(sorted(acc.items(), key=lambda t: t[0], reverse=True))
-        )
+        return sum_products(self.ring, ((self, other),))
 
     def monic(self) -> Polynomial:
         if not self.terms:
@@ -531,6 +511,37 @@ class Polynomial:
 
     def __repr__(self):
         return self.ring.render(self)
+
+
+def sum_products(ring: PolynomialRing, pairs) -> Polynomial:
+    """sum(a * b for a, b in pairs): the one term-by-term product loop.
+
+    Raw integer products accumulate in one dict; the sum is reduced mod p,
+    stripped of zeros and sorted once at the end.  Each nonzero pair passes
+    the packed-degree guard first, so a product whose total degree would not
+    pack raises ExponentOverflowError even if its terms cancel in the sum.
+    """
+    unit = ring.unit_key
+    acc: dict[int, int] = {}
+    get = acc.get
+    for a, b in pairs:
+        ta, tb = a.terms, b.terms
+        if not ta or not tb:
+            continue
+        # graded orders: one comparison on the heads' keys (see _deg_cap)
+        if not (ring._graded and ta[0][0] + tb[0][0] < ring._deg_cap):
+            ring.check_degree(a.degree() + b.degree())
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        for ka, ca in ta:
+            off = ka - unit
+            for kb, cb in tb:
+                k = off + kb
+                acc[k] = get(k, 0) + ca * cb
+    p = ring.p
+    terms = [(k, r) for k, c in acc.items() if (r := c % p)]
+    terms.sort(reverse=True)
+    return Polynomial(ring, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

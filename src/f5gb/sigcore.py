@@ -9,7 +9,7 @@ during reduction.
 
 from __future__ import annotations
 
-from .algebra import Polynomial, PolynomialRing
+from .algebra import Polynomial, PolynomialRing, sum_products
 
 
 class StoreCapExceeded(RuntimeError):
@@ -78,9 +78,11 @@ def sig_mul(u, s: Signature) -> Signature:
 def admissible_check(entry, system) -> bool:
     """Verify a labeled polynomial's signature against the reference system.
 
-    True iff the recorded cofactors h satisfy sum(h_l * system_l) == poly,
-    vanish above the signature index, and lt(h_nu) equals the signature
-    monomial.  Requires certified mode (cofactors present).
+    True iff there is one cofactor per system element, the cofactors h
+    vanish above the signature index, lt(h_nu) equals the signature
+    monomial, and sum(h_l * system_l) == poly exactly (one sum_products
+    call, compared term by term).  Requires certified mode (cofactors
+    present).
     """
     if entry.cofactors is None:
         raise ValueError("admissible_check needs cofactor tracking (certified mode)")
@@ -95,12 +97,7 @@ def admissible_check(entry, system) -> bool:
     h_nu = cof[nu - 1]
     if h_nu.is_zero() or h_nu.lt_key() != sig.key:
         return False
-    ring = h_nu.ring
-    total = ring.zero
-    for h, f in zip(cof, system):
-        if h:
-            total = total + h * f
-    return total == entry.poly
+    return sum_products(h_nu.ring, zip(cof, system)) == entry.poly
 
 
 # -- cofactor arithmetic -----------------------------------------------------
@@ -114,11 +111,9 @@ def cofactors_sub(ring, a, b, tb_key, tb_c, ta_key=None, ta_c=1):
     """ta*a - tb*b for terms t = c*x^key (ta is 1 without ta_key)."""
     if a is None:
         return None
-    tb = Polynomial(ring, ((tb_key, tb_c),))
-    if ta_key is None:
-        return [x - tb * y for x, y in zip(a, b)]
-    ta = Polynomial(ring, ((ta_key, ta_c),))
-    return [ta * x - tb * y for x, y in zip(a, b)]
+    ta = ring.one if ta_key is None else Polynomial(ring, ((ta_key, ta_c),))
+    neg_tb = Polynomial(ring, ((tb_key, -tb_c % ring.p),))
+    return [sum_products(ring, ((ta, x), (neg_tb, y))) for x, y in zip(a, b)]
 
 
 def cofactors_scale(a, c: int):
@@ -132,32 +127,38 @@ def reduce_payload(reducers, poly: Polynomial, cofs, basis_cofs, stats):
     """(h, cofs - sum_j q_j * basis_cofs[j]) for h = reducers.reduce_full(poly).
 
     The q_j are the quotients reduce_full records against reducers.polys,
-    whose cofactor vectors basis_cofs lists in the same order.
+    whose cofactor vectors basis_cofs lists in the same order.  Each updated
+    cofactor cofs[m] - sum_j q_j * basis_cofs[j][m] is one sum_products call
+    over the pairs (-q_j, basis_cofs[j][m]) and (cofs[m], 1).
     """
     if cofs is None:
         return reducers.reduce_full(poly, stats=stats), None
     ring = reducers.ring
     quotients = [dict() for _ in reducers.polys]
     h = reducers.reduce_full(poly, stats=stats, quotients=quotients)
-    out = list(cofs)
+    pairs = [[] for _ in cofs]
     for qmap, bcofs in zip(quotients, basis_cofs):
         if not qmap:
             continue
-        q = Polynomial(ring, tuple(sorted(qmap.items(), reverse=True)))
+        neg_q = -Polynomial(ring, tuple(sorted(qmap.items(), reverse=True)))
         for m, c in enumerate(bcofs):
             if c:
-                out[m] = out[m] - q * c
+                pairs[m].append((neg_q, c))
+    out = list(cofs)
+    for m, ps in enumerate(pairs):
+        if ps:
+            ps.append((cofs[m], ring.one))
+            out[m] = sum_products(ring, ps)
     return h, out
 
 
 def compose_cofactors(ring, combo, cofs):
-    """sum_j combo[j] * cofs[j] for a {position: Polynomial} combination."""
-    out = [ring.zero] * len(cofs[0])
-    for j, q in combo.items():
-        for m, c in enumerate(cofs[j]):
-            if c:
-                out[m] = out[m] + q * c
-    return out
+    """sum_j combo[j] * cofs[j] for a {position: Polynomial} combination;
+    entry m is one sum_products call over the pairs (combo[j], cofs[j][m])."""
+    return [
+        sum_products(ring, [(q, cofs[j][m]) for j, q in combo.items()])
+        for m in range(len(cofs[0]))
+    ]
 
 
 class LabeledPolynomial:

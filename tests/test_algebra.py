@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from f5gb.algebra import (
     ORDER_KINDS,
@@ -28,6 +28,7 @@ from f5gb.algebra import (
     normal_form,
     order_cmp,
     spoly,
+    sum_products,
     top_reduce_step,
 )
 
@@ -323,6 +324,100 @@ def test_poly_ring_arithmetic_matches_brute_force():
         assert f * g == brute_mul(f, g)
         assert f - f == ring.zero
         assert (f + g) - g == f
+
+
+def _reference_sum_products(ring, pairs):
+    """sum(a * b) from exponent tuples: monomial_mul on every term pair, then
+    one from_terms, which packs each product and raises past degree 32767."""
+    return ring.from_terms(
+        (monomial_mul(ma, mb), ca * cb)
+        for a, b in pairs
+        for ma, ca in a.dict().items()
+        for mb, cb in b.dict().items()
+    )
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ExponentOverflowError:
+        return ExponentOverflowError
+
+
+@st.composite
+def product_sums(draw):
+    """(ring, pairs) over p in {2, 3, 32003, 2**31 - 1}: coefficients p - 1
+    (products near 2**62) and exponents up to 8191, so that with three or
+    more variables a product's degree can pass the packed limit 32767.
+    Terms come from a small pool of monomials, so products collide and
+    their sums cancel."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(ORDER_KINDS))
+    p = draw(st.sampled_from((2, 3, 32003, 2**31 - 1)))
+    ring = PolynomialRing(p, tuple(f"x{i}" for i in range(n)), kind)
+    exponent = st.one_of(st.integers(0, 1), st.just(8191), st.integers(0, 8191))
+    pool = draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=4))
+    coeff = st.one_of(st.just(p - 1), st.integers(0, p - 1), st.just(1))
+    term = st.tuples(st.sampled_from(pool), coeff)
+    poly = st.lists(term, max_size=5).map(ring.from_terms)
+    return ring, draw(st.lists(st.tuples(poly, poly), max_size=4))
+
+
+def _check_sum_products(ring, pairs):
+    # __mul__'s guard: a nonzero pair whose degrees sum past the limit raises
+    overflow = any(a and b and a.degree() + b.degree() > 32767 for a, b in pairs)
+    expected = _outcome(_reference_sum_products, ring, pairs)
+    assert (expected is ExponentOverflowError) == overflow
+    assert _outcome(sum_products, ring, pairs) == expected
+    for a, b in pairs:
+        assert _outcome(a.__mul__, b) == _outcome(_reference_sum_products, ring, [(a, b)])
+
+
+@given(product_sums())
+@settings(max_examples=200)
+def test_sum_products_and_mul_match_exponent_tuple_reference(case):
+    _check_sum_products(*case)
+
+
+def _fixed_product_sums():
+    """Cases the draws may miss: raw sums of products near 2**62 that cancel
+    only mod p, and a lex product past the packed degree whose head is not
+    its largest-degree term."""
+    big = PolynomialRing(2**31 - 1, ("x", "y"))
+    f = P(big, (2**31 - 2, (1, 0)), (2**31 - 2, (0, 1)))  # -x - y
+    g = P(big, (2**31 - 2, (1, 0)), (1, (0, 0)))  # -x + 1
+    lex = PolynomialRing(3, ("w", "x", "y", "z"), "lex")
+    h = P(lex, (1, (1, 0, 0, 0)), (2, (0, 8191, 8191, 8191)))  # head w
+    return {
+        "cancel_near_2_62": (big, [(f, g), (f, -g)]),
+        "sum_past_2_62": (big, [(f, f), (f, f), (g, g)]),
+        "lex_overflow_below_head": (lex, [(h, h)]),
+        "lex_tail_degree_packs": (lex, [(h, lex.one), (lex.one, h)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fixed_product_sums()))
+def test_sum_products_fixed_cases_match_reference(name):
+    _check_sum_products(*_fixed_product_sums()[name])
+
+
+def test_sum_products_edge_cases():
+    ring = ring_xyzt(3)
+    f = P(ring, (2, (1, 0, 0, 0)), (1, (0, 0, 0, 0)))  # 2x + 1
+    assert sum_products(ring, []) == ring.zero
+    assert sum_products(ring, [(ring.zero, f), (f, ring.zero)]) == ring.zero
+    assert f * ring.zero == ring.zero and ring.zero * f == ring.zero
+    # (2x + 1)^2 + 2x * x = 6x^2 + 4x + 1 = x + 1 over F_3: the x^2
+    # coefficient cancels only mod p
+    x = ring.variable("x")
+    assert sum_products(ring, [(f, f), (x.scale(2), x)]) == P(
+        ring, (1, (1, 0, 0, 0)), (1, (0, 0, 0, 0))
+    )
+    # a product past the packed degree raises even when the sum cancels it
+    big = P(ring, (1, (16000, 0, 0, 0)))
+    huge = P(ring, (1, (16000, 800, 0, 0)))
+    with pytest.raises(ExponentOverflowError):
+        sum_products(ring, [(big, huge), (big.scale(2), huge)])
 
 
 def test_terms_strictly_descending_invariant():

@@ -238,3 +238,68 @@ def test_certified_store_rejects_bad_entry():
         store.append(
             Signature(ring, (1, 0), 2), f1, cofactors=[ring.one, ring.zero]
         )
+
+
+def _xy_system(ring):
+    f1 = mono_poly(ring, (1, (1, 1)), (1, (1, 0)))  # xy + x
+    f2 = mono_poly(ring, (1, (0, 2)), (-1, (0, 0)))  # y^2 - 1
+    return [f1, f2]
+
+
+def test_admissible_check_wrong_tail_coefficient():
+    # (x e2) with cofactors (y, -x) certifies xy + x; a changed tail
+    # coefficient under the same head, in the payload or in a cofactor, does not
+    ring = xy_ring()
+    F = _xy_system(ring)
+    x, y = ring.variable("x"), ring.variable("y")
+    s = Signature(ring, (1, 0), 2)
+    wrong_poly = mono_poly(ring, (1, (1, 1)), (2, (1, 0)))
+    assert not admissible_check(LabeledPolynomial(s, wrong_poly, cofactors=[y, -x]), F)
+    wrong_cof = -x + ring.constant(5)
+    assert wrong_cof.lt_key() == s.key
+    assert not admissible_check(LabeledPolynomial(s, F[0], cofactors=[y, wrong_cof]), F)
+
+
+def test_admissible_check_nonzero_cofactor_above_index():
+    # f1 + f2 = 1*f1 + 1*f2 holds, but (1 e1) claims h_2 = 0
+    ring = xy_ring()
+    F = _xy_system(ring)
+    entry = LabeledPolynomial(
+        Signature(ring, (0, 0), 1), F[0] + F[1], cofactors=[ring.one, ring.one]
+    )
+    assert not admissible_check(entry, F)
+    entry.sig = Signature(ring, (0, 0), 2)
+    assert admissible_check(entry, F)
+
+
+@pytest.mark.parametrize("cofs", [1, 3])
+def test_admissible_check_cofactor_length_must_match_system(cofs):
+    # the sum alone would hold: the missing cofactor is zero, the extra one
+    # multiplies nothing
+    ring = xy_ring()
+    F = _xy_system(ring)
+    cof = [ring.one] + [ring.zero] * (cofs - 1)
+    entry = LabeledPolynomial(Signature(ring, (0, 0), 1), F[0], cofactors=cof)
+    assert not admissible_check(entry, F)
+    entry.cofactors = [ring.one, ring.zero]
+    assert admissible_check(entry, F)
+
+
+def test_admissible_check_sum_cancels_only_mod_p():
+    # over F_3: 1*(x + 2y) + 2*(x + y) = 3x + 4y = y and
+    # (2x + 2)*(2x + 2) = 4x^2 + 8x + 4 = x^2 + 2x + 1
+    ring = PolynomialRing(3, ("x", "y"))
+    F = [
+        mono_poly(ring, (1, (1, 0)), (2, (0, 1))),
+        mono_poly(ring, (1, (1, 0)), (1, (0, 1))),
+    ]
+    entry = LabeledPolynomial(
+        Signature(ring, (0, 0), 2),
+        ring.variable("y"),
+        cofactors=[ring.one, ring.constant(2)],
+    )
+    assert admissible_check(entry, F)
+    g = mono_poly(ring, (2, (1, 0)), (2, (0, 0)))
+    square = mono_poly(ring, (1, (2, 0)), (2, (1, 0)), (1, (0, 0)))
+    entry = LabeledPolynomial(Signature(ring, (1, 0), 1), square, cofactors=[g])
+    assert admissible_check(entry, [g])
