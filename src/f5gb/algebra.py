@@ -311,9 +311,7 @@ class PolynomialRing:
                 raise ValueError(f"exponent out of range in {exps}")
             k = self.key(exps)
             acc[k] = (acc.get(k, 0) + c) % self.p
-        packed = sorted(
-            ((k, c) for k, c in acc.items() if c), key=lambda t: t[0], reverse=True
-        )
+        packed = sorted(((k, c) for k, c in acc.items() if c), reverse=True)
         return Polynomial(self, tuple(packed))
 
     def constant(self, c: int) -> Polynomial:
@@ -447,9 +445,8 @@ class Polynomial:
                 acc[k] = nc
             else:
                 acc.pop(k, None)
-        return Polynomial(
-            self.ring, tuple(sorted(acc.items(), key=lambda t: t[0], reverse=True))
-        )
+        # keys are unique, so the tuples sort by key alone
+        return Polynomial(self.ring, tuple(sorted(acc.items(), reverse=True)))
 
     def __add__(self, other: Polynomial) -> Polynomial:
         return self._merge(other, 1)
@@ -631,49 +628,65 @@ class ReducerSet:
         Each head elimination counts one reduction step on stats.  When
         quotients is a list it receives accumulated {key: coeff} maps per
         reducer (aligned with self.polys) describing the subtracted multiples.
+
+        The terms of f are looked up in order until the first one with a
+        divisor; an irreducible prefix is copied as it stands, and f itself
+        is returned when no term reduces.  The rest of the work is heap
+        division with delayed reduction: each elimination adds the raw
+        products (p - fac) * tc to the pending coefficients, and a
+        coefficient is reduced mod p once, when its key leaves the heap (a
+        key that sums to 0 there is dropped).  Keys are looked up in
+        descending order, once each while their coefficient is nonzero.
         """
-        if not f.terms:
+        terms = f.terms
+        find = self.find_divisor
+        for i, (key, c) in enumerate(terms):
+            cand = find(key)
+            if cand is not None:
+                break
+        else:
             return f
         ring = self.ring
         p = ring.p
-        find = self.find_divisor
-        work = dict(f.terms)
-        heap = sorted(-k for k in work)
+        out = list(terms[:i])
+        rest = terms[i + 1:]
+        work = dict(rest)
+        # rest descends, so its negated keys ascend: already a heap
+        heap = [-k for k, _ in rest]
         pop, push = _heappop, _heappush
-        out = []
         steps = 0
-        while heap:
-            key = -pop(heap)
-            c = work.pop(key, 0)
-            if not c:
-                continue
-            cand = find(key)
+        while True:
             if cand is None:
                 out.append((key, c))
-                continue
-            gk, _, inv_lc, pos, tail = cand
-            steps += 1
-            fac = (c * inv_lc) % p
-            if quotients is not None:
-                qk = ring.key_div(key, gk)
-                qmap = quotients[pos]
-                qmap[qk] = (qmap.get(qk, 0) + fac) % p
-            off = key - gk
-            get = work.get
-            for tk, tc in tail:
-                nk = off + tk
-                prev = get(nk)
-                if prev is None:
-                    nc = (-fac * tc) % p
-                    if nc:
-                        work[nk] = nc
+            else:
+                gk, _, inv_lc, pos, tail = cand
+                steps += 1
+                fac = (c * inv_lc) % p
+                if quotients is not None:
+                    qk = ring.key_div(key, gk)
+                    qmap = quotients[pos]
+                    qmap[qk] = (qmap.get(qk, 0) + fac) % p
+                mfac = p - fac
+                off = key - gk
+                get = work.get
+                # every new key lies below key, so a key is pushed once
+                # while it is pending and popped after all its additions
+                for tk, tc in tail:
+                    nk = off + tk
+                    prev = get(nk)
+                    if prev is None:
+                        work[nk] = mfac * tc
                         push(heap, -nk)
-                else:
-                    nc = (prev - fac * tc) % p
-                    if nc:
-                        work[nk] = nc
                     else:
-                        del work[nk]
+                        work[nk] = prev + mfac * tc
+            while heap:
+                key = -pop(heap)
+                c = work.pop(key) % p
+                if c:
+                    break
+            else:
+                break
+            cand = find(key)
         if stats is not None:
             stats.reduction_steps += steps
         return Polynomial(ring, tuple(out))

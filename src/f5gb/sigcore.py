@@ -339,6 +339,8 @@ class RuleTable:
     def is_rewritable(self, u, sig: Signature, k: int) -> bool:
         """True iff some later-recorded rule rewrites u * sig(k)."""
         j = self.find_rewriting(u, sig, k)
-        # a nonzero rewriter always postdates the entry it rewrites
-        assert j == k or j == 0 or j > k, (j, k)
+        if j and j < k:
+            raise ValueError(
+                f"rewriter {j} predates the entry {k} it rewrites: {(j, k)}"
+            )
         return j != k

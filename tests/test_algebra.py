@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from f5gb.algebra import (
     Polynomial,
     PolynomialRing,
     PrimeField,
+    ReducerSet,
     TermOrder,
     ZeroPolynomialError,
     homogenize,
@@ -31,6 +33,8 @@ from f5gb.algebra import (
     sum_products,
     top_reduce_step,
 )
+from f5gb.bench import cyclic, katsura
+from f5gb.drivers import VARIANTS, VariantConfig, run_variant
 
 
 def ring_xyzt(p=32003, order="grevlex"):
@@ -621,6 +625,204 @@ def test_normal_form_counts_steps():
     r = normal_form(f, [g], stats=stats)
     assert r == P(ring, (-1, (0, 3)))
     assert stats.reduction_steps == 3
+
+
+def eager_reduce_full(rs, f, stats=None, quotients=None):
+    """The eager reduce_full, the reference the kernel must match: every term
+    operation reduces mod p and deletes a key that cancels, and every call
+    builds its dict and heap from all of f."""
+    if not f.terms:
+        return f
+    ring = rs.ring
+    p = ring.p
+    find = rs.find_divisor
+    work = dict(f.terms)
+    heap = sorted(-k for k in work)
+    out = []
+    steps = 0
+    while heap:
+        key = -heappop(heap)
+        c = work.pop(key, 0)
+        if not c:
+            continue
+        cand = find(key)
+        if cand is None:
+            out.append((key, c))
+            continue
+        gk, _, inv_lc, pos, tail = cand
+        steps += 1
+        fac = (c * inv_lc) % p
+        if quotients is not None:
+            qk = ring.key_div(key, gk)
+            qmap = quotients[pos]
+            qmap[qk] = (qmap.get(qk, 0) + fac) % p
+        off = key - gk
+        get = work.get
+        for tk, tc in tail:
+            nk = off + tk
+            prev = get(nk)
+            if prev is None:
+                nc = (-fac * tc) % p
+                if nc:
+                    work[nk] = nc
+                    heappush(heap, -nk)
+            else:
+                nc = (prev - fac * tc) % p
+                if nc:
+                    work[nk] = nc
+                else:
+                    del work[nk]
+    if stats is not None:
+        stats.reduction_steps += steps
+    return Polynomial(ring, tuple(out))
+
+
+class _Steps:
+    reduction_steps = 0
+
+
+class _RecordingReducerSet(ReducerSet):
+    """A ReducerSet that logs every key reduce_full looks up."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.keys = []
+
+    def find_divisor(self, key):
+        self.keys.append(key)
+        return super().find_divisor(key)
+
+
+def _run_kernel(kernel, ring, G, f, prefer):
+    """(result, steps, quotient maps, looked-up keys) of one reduction."""
+    rs = _RecordingReducerSet(ring, G, prefer=prefer)
+    stats = _Steps()
+    quotients = [dict() for _ in rs.polys]
+    result = kernel(rs, f, stats=stats, quotients=quotients)
+    return result, stats.reduction_steps, quotients, rs.keys
+
+
+def _check_against_eager(ring, G, f, prefer=1):
+    got = _run_kernel(ReducerSet.reduce_full, ring, G, f, prefer)
+    want = _run_kernel(eager_reduce_full, ring, G, f, prefer)
+    assert got[0].terms == want[0].terms
+    assert got[1:] == want[1:]
+    assert (got[1] == 0) == (got[0] is f)
+    return got
+
+
+@st.composite
+def reduction_cases(draw):
+    """(ring, G, f, prefer) over p in {2, 3, 32003, 2**31 - 1}.  Exponents
+    stay small, so heads divide many monomials and eliminations collide on
+    shared keys; coefficients are often p - 1, so raw sums grow large."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(ORDER_KINDS))
+    p = draw(st.sampled_from((2, 3, 32003, 2**31 - 1)))
+    ring = PolynomialRing(p, tuple(f"x{i}" for i in range(n)), kind)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.one_of(st.just(p - 1), st.integers(1, p - 1), st.just(1))
+    poly = st.lists(st.tuples(exps, coeff), max_size=8).map(ring.from_terms)
+    G = draw(st.lists(poly, min_size=1, max_size=4))
+    return ring, G, draw(poly), draw(st.sampled_from((1, -1)))
+
+
+@given(reduction_cases())
+@settings(max_examples=300)
+def test_reduce_full_matches_eager_reference(case):
+    _check_against_eager(*case)
+
+
+def _fixed_reduction_cases():
+    """(ring, G, f, normal form) for cases the draws may miss, each named for
+    the kernel path it pins."""
+    big = PolynomialRing(2**31 - 1, ("a", "b", "c", "d", "z"))
+    m = 2**31 - 2  # -1
+    # a, b, c, d -> z: four eliminations each add the raw product
+    # (p - 1) * (p - 1) to z, about 2**64 in all before the pop reduces it
+    units = [tuple(int(i == j) for j in range(5)) for i in range(4)]
+    linear = [P(big, (1, e), (m, (0, 0, 0, 0, 1))) for e in units]
+    small = PolynomialRing(7, ("x", "y", "z", "w"))
+    heads = [
+        P(small, (1, (2, 0, 0, 0)), (6, (0, 0, 0, 2))),  # x^2 - w^2
+        P(small, (1, (0, 2, 0, 0)), (1, (0, 0, 0, 2))),  # y^2 + w^2
+        P(small, (1, (0, 0, 2, 0)), (6, (0, 0, 0, 2))),  # z^2 - w^2
+    ]
+    y2 = [P(small, (1, (0, 2, 0, 0)), (3, (0, 0, 2, 0)))]  # y^2 + 3z^2
+    front = ((2, (3, 0, 0, 0)), (5, (2, 1, 0, 0)))  # 2x^3 + 5x^2y
+    return {
+        "four_products_past_2_63": (
+            big, linear, P(big, *((1, e) for e in units)), P(big, (4, (0, 0, 0, 0, 1)))
+        ),
+        # x^2 and y^2 add 36 + 6 = 42 = 0 mod 7 to w^2; z^2 then adds 36 more
+        "cancel_to_zero_then_hit": (
+            small, heads, P(small, *((1, g.lt()) for g in heads)), P(small, (1, (0, 0, 0, 2)))
+        ),
+        "cancel_to_zero": (
+            small, heads[:2], P(small, *((1, g.lt()) for g in heads[:2])), small.zero
+        ),
+        # y^2 divides nothing in front of x*y^2
+        "irreducible_prefix": (
+            small,
+            y2,
+            P(small, *front, (1, (1, 2, 0, 0)), (4, (0, 0, 3, 0))),
+            P(small, *front, (4, (1, 0, 2, 0)), (4, (0, 0, 3, 0))),
+        ),
+        "fully_irreducible": (
+            small, y2, P(small, *front, (4, (0, 0, 3, 0))), P(small, *front, (4, (0, 0, 3, 0)))
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fixed_reduction_cases()))
+@pytest.mark.parametrize("prefer", [1, -1])
+def test_reduce_full_fixed_cases_match_eager_reference(name, prefer):
+    ring, G, f, expected = _fixed_reduction_cases()[name]
+    assert _check_against_eager(ring, G, f, prefer)[0] == expected
+
+
+@pytest.mark.parametrize("F", [katsura(4), cyclic(5)], ids=["katsura-4", "cyclic-5"])
+def test_engine_runs_look_up_the_same_keys_as_the_eager_kernel(F, monkeypatch):
+    """perfbench counts eliminations, term operations and its units by
+    wrapping find_divisor; pin that every reduction of real runs, plain and
+    certified, looks up the reference kernel's keys in its order."""
+    kernel, find = ReducerSet.reduce_full, ReducerSet.find_divisor
+    open_logs = []  # the key log of each reduction in progress
+    compared = []
+
+    def recording_find(rs, key):
+        if open_logs:
+            open_logs[-1].append(key)
+        return find(rs, key)
+
+    def logged(run, rs, f, stats, quotients):
+        open_logs.append([])
+        try:
+            return run(rs, f, stats=stats, quotients=quotients), open_logs[-1]
+        finally:
+            open_logs.pop()
+
+    def checked_reduce_full(rs, f, stats=None, quotients=None):
+        ref_q = None if quotients is None else [dict(q) for q in quotients]
+        ref_stats = _Steps()
+        before = stats.reduction_steps if stats is not None else 0
+        result, keys = logged(kernel, rs, f, stats, quotients)
+        expected, ref_keys = logged(eager_reduce_full, rs, f, ref_stats, ref_q)
+        assert keys == ref_keys
+        assert result.terms == expected.terms and quotients == ref_q
+        if stats is not None:
+            assert stats.reduction_steps - before == ref_stats.reduction_steps
+        compared.append(len(keys))
+        return result
+
+    monkeypatch.setattr(ReducerSet, "find_divisor", recording_find)
+    monkeypatch.setattr(ReducerSet, "reduce_full", checked_reduce_full)
+    for certified in (False, True):
+        for variant in VARIANTS:
+            run_variant(F, VariantConfig(variant, certified=certified))
+    assert len(compared) > 100 and sum(compared) > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,17 @@ def test_rule_index_monotonicity_enforced(ring):
         rules.add_rule(sig(ring, (0, 0, 6, 0), 2), 2)
 
 
+def test_rewriter_older_than_its_entry_raises(ring):
+    # a nonzero rule recorded for entry 3 matches a query about the newer
+    # entry 5: the table violates "a rewriter postdates what it rewrites"
+    rules = RuleTable(ring)
+    rules.add_rule(sig(ring, (0, 0, 2, 0), 2), 3)
+    s = sig(ring, (0, 0, 2, 0), 2)
+    with pytest.raises(ValueError, match=r"\(3, 5\)"):
+        rules.is_rewritable((0, 0, 0, 0), s, 5)
+    assert not rules.is_rewritable((0, 0, 0, 0), s, 3)
+
+
 def test_rules_are_per_index(ring):
     rules = RuleTable(ring)
     rules.add_rule(sig(ring, (0, 0, 2, 0), 2), 3)
