@@ -227,6 +227,7 @@ class PolynomialRing:
         # e_i(a) <= e_i(b).  divides() and the divisor scans test
         # (word(b) | guard) - word(a) against the guard.
         self.guard = sum(1 << (W * i + W - 1) for i in range(n))
+        self._ones = sum(1 << (W * i) for i in range(n))
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, ((self.unit_key, 1),))
 
@@ -296,6 +297,29 @@ class PolynomialRing:
         """True when the monomial keyed ka divides the one keyed kb."""
         g = self.guard
         return ((self.word(kb) | g) - self.word(ka)) & g == g
+
+    def lcm(self, ka: int, kb: int) -> int:
+        """Key of the least common multiple of the monomials keyed ka and kb.
+
+        On the exponent words with the degree field masked off, the guard
+        marks each field where e_i(a) >= e_i(b) (see divides); the marks
+        widen to field masks that select the larger exponent.  One multiply
+        by sum(1 << W*i) sums the fields into the top one: every partial sum
+        is at most deg(a) + deg(b) < 2**16, so no field carries.  Raises
+        ExponentOverflowError when the lcm's total degree does not pack.
+        """
+        W, g, shift = _FIELD_BITS, self.guard, self._deg_shift
+        low = (1 << shift) - 1
+        fmask = (1 << W) - 1
+        wa = self.word(ka) & low
+        wb = self.word(kb) & low
+        m = ((((wa | g) - wb) & g) >> (W - 1)) * fmask
+        w = wb ^ ((wa ^ wb) & m)
+        d = (w * self._ones >> (shift - W)) & fmask
+        self.check_degree(d)
+        if self._graded:
+            w |= d << shift
+        return w ^ self.unit_key
 
     # -- polynomial construction ------------------------------------------
 
@@ -549,19 +573,23 @@ def spoly(p: Polynomial, q: Polynomial) -> Polynomial:
     """lc(q) * (lcm/lt(p)) * p  -  lc(p) * (lcm/lt(q)) * q."""
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomialError("S-polynomial of a zero polynomial")
-    lcm = monomial_lcm(p.lt(), q.lt())
-    up = monomial_div(lcm, p.lt())
-    uq = monomial_div(lcm, q.lt())
-    return p.term_mul(up, q.lc()) - q.term_mul(uq, p.lc())
+    ring = p.ring
+    kp, kq = p.lt_key(), q.lt_key()
+    lcm = ring.lcm(kp, kq)
+    up, uq = ring.key_div(lcm, kp), ring.key_div(lcm, kq)
+    return p.term_mul_key(up, q.lc()) - q.term_mul_key(uq, p.lc())
 
 
 def top_reduce_step(p: Polynomial, g: Polynomial) -> Polynomial:
     """One head cancellation: p - (lc(p)/lc(g)) * (lt(p)/lt(g)) * g."""
     if g.is_zero():
         raise ZeroPolynomialError("top reduction by the zero polynomial")
-    u = monomial_div(p.lt(), g.lt())
-    c = p.ring.field.div(p.lc(), g.lc())
-    return p - g.term_mul(u, c)
+    ring = p.ring
+    kp, kg = p.lt_key(), g.lt_key()
+    if not ring.divides(kg, kp):
+        raise NotDivisibleError(f"{g.lt()} does not divide {p.lt()}")
+    c = ring.field.div(p.lc(), g.lc())
+    return p - g.term_mul_key(ring.key_div(kp, kg), c)
 
 
 def is_top_reducible(m, G) -> bool:

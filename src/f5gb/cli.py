@@ -157,8 +157,12 @@ def parse_polynomial(ring: PolynomialRing, text: str, line_no: int = 1):
         raise ParseError(str(exc), line_no, 1) from exc
 
 
-def parse_system(text: str):
-    """Parse a full system file; returns (SystemFile, ring, polynomials)."""
+def parse_system(text: str, char_override: int | None = None):
+    """Parse a full system file; returns (SystemFile, ring, polynomials).
+
+    A char_override replaces the file's 'char:' line, so the polynomial
+    lines are read over that field.
+    """
     names = None
     char = None
     order = "grevlex"
@@ -188,6 +192,8 @@ def parse_system(text: str):
             if lowered.startswith("polys:"):
                 if names is None:
                     raise ParseError("missing 'ring:' declaration", line_no, 1)
+                if char_override is not None:
+                    char = char_override
                 if char is None:
                     raise ParseError("missing 'char:' declaration", line_no, 1)
                 if not is_prime(char) or not (2 <= char < 2 ** 31):
@@ -303,17 +309,10 @@ def _cmd_run(args, stdout, stderr):
         print(f"cannot read {args.input}: {exc}", file=stderr)
         return EXIT_PARSE
     try:
-        _, ring, F = parse_system(text)
+        _, _, F = parse_system(text, args.char)
     except ParseError as exc:
         print(f"{args.input}: {exc}", file=stderr)
         return EXIT_PARSE
-    if args.char is not None and args.char != ring.p:
-        try:
-            ring = PolynomialRing(args.char, ring.names, ring.order.kind)
-        except ValueError as exc:
-            print(str(exc), file=stderr)
-            return EXIT_PARSE
-        F = [ring.from_terms(f.dict().items()) for f in F]
     if args.homogenize and any(not f.is_homogeneous() for f in F):
         _, F = homogenize(F)
     return _run_single(args, F, stdout, stderr)

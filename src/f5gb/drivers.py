@@ -10,15 +10,16 @@ in how the previous basis is carried between iterations:
   every iteration, so later iterations see fewer generators.
 
 buchberger_reduced is the correctness oracle: a Buchberger loop under the
-Gebauer-Moller criteria that shares only the plain polynomial arithmetic with
-the engine.
+Gebauer-Moller criteria.  It shares no signature code with the engine, but it
+does share the polynomial layer: packed-key arithmetic (ring.lcm and
+ring.divides), ReducerSet and interreduce.  tests/test_sympy_differential.py
+checks both against sympy, which shares none of that code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop
-from operator import le
 
 from .algebra import (
     NonHomogeneousError,
@@ -27,8 +28,6 @@ from .algebra import (
     ZeroPolynomialError,
     interreduce,
     interreduce_with_cofactors,
-    monomial_div,
-    monomial_lcm,
     normal_form,  # unused here, but perfbench/tracer.py wraps drivers.normal_form
     spoly,
 )
@@ -97,11 +96,11 @@ def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False)
         store.add_input(b)
     engine.rules.reset(len(B))
     if not skip_rule_rebuild:
-        heads = [b.lt() for b in B]
+        heads = [b.lt_key() for b in B]
         for j in range(len(B) - 1):
             t = heads[j]
             for k in range(j + 1, len(B)):
-                u = monomial_div(monomial_lcm(t, heads[k]), heads[k])
+                u = ring.key_div(ring.lcm(t, heads[k]), heads[k])
                 engine.rules.add_rule(Signature(ring, u, k + 1), 0)
     return list(range(1, len(B) + 1))
 
@@ -181,36 +180,13 @@ def f5c(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
 
 
 def _gm_entry(g):
-    """(monic polynomial, head exponents, head divmask, head degree)."""
-    head = g.lt()
-    return g, head, _divmask(head), sum(head)
+    """(monic polynomial, head key)."""
+    return g, g.lt_key()
 
 
-def _gm_pair(e1, e2, lcm, mask, serial):
-    """A critical pair; its first three fields are its selection key."""
-    return (sum(lcm), e1[0].ring.key(lcm), serial, lcm, mask, e1, e2)
-
-
-def _divmask(exps) -> int:
-    """Compressed divisibility signature: divisor masks are subsets."""
-    m = 0
-    shift = 0
-    for e in exps:
-        if e:
-            b = 1
-            if e >= 2:
-                b |= 2
-            if e >= 4:
-                b |= 4
-            if e >= 8:
-                b |= 8
-            m |= b << shift
-        shift += 4
-    return m
-
-
-def _divides(a, mask_a, b, mask_b) -> bool:
-    return not (mask_a & ~mask_b) and all(map(le, a, b))
+def _gm_pair(e1, e2, lcm, serial):
+    """(lcm degree, lcm key, serial, e1, e2); the first three are the selection key."""
+    return (e1[0].ring.key_degree(lcm), lcm, serial, e1, e2)
 
 
 def _gm_update(G, pairs, h, serial):
@@ -220,20 +196,23 @@ def _gm_update(G, pairs, h, serial):
     the pairs in creation order and make the selection key a total order.
     Returns (new G, new pairs, next serial).
     """
-    _, ht, hm, hd = h
+    ring = h[0].ring
+    ht = h[1]
+    divides, lcm = ring.divides, ring.lcm
     # new pairs (h, g): the chain criterion drops a pair whose lcm another
     # new pair's lcm divides; among equal lcms the last one stays.  Coprime
-    # pairs take part in the chain test and then go (product criterion).
+    # pairs take part in the chain test and then go (product criterion); a
+    # pair is coprime iff its lcm key is the product key, because
+    # ka + kb - unit_key - lcm is the key offset of the gcd.
     C = []
     for g in G:
-        lcm = tuple(map(max, ht, g[1]))
-        C.append((lcm, _divmask(lcm), sum(lcm) == hd + g[3], g))
+        m = lcm(ht, g[1])
+        C.append((m, m == ring.key_mul(ht, g[1]), g))
     D = []
     for i, c in enumerate(C):
-        lcm, m = c[0], c[1]
-        if c[2] or not (
-            any(_divides(o[0], o[1], lcm, m) for o in C[i + 1:])
-            or any(_divides(o[0], o[1], lcm, m) for o in D)
+        m = c[0]
+        if c[1] or not (
+            any(divides(o[0], m) for o in C[i + 1:]) or any(divides(o[0], m) for o in D)
         ):
             D.append(c)
     # old pairs (g1, g2): dropped when ht divides their lcm and neither
@@ -242,25 +221,23 @@ def _gm_update(G, pairs, h, serial):
     kept_old = [
         p
         for p in pairs
-        if not _divides(ht, hm, p[3], p[4])
-        or tuple(map(max, p[5][1], ht)) == p[3]
-        or tuple(map(max, ht, p[6][1])) == p[3]
+        if not divides(ht, p[1]) or lcm(p[3][1], ht) == p[1] or lcm(ht, p[4][1]) == p[1]
     ]
-    E = [c for c in D if not c[2]]
-    new_pairs = kept_old + [
-        _gm_pair(h, g, lcm, m, serial + n) for n, (lcm, m, _, g) in enumerate(E)
-    ]
-    new_G = [g for g in G if not _divides(ht, hm, g[1], g[2])] + [h]
+    E = [c for c in D if not c[1]]
+    new_pairs = kept_old + [_gm_pair(h, g, m, serial + n) for n, (m, _, g) in enumerate(E)]
+    new_G = [g for g in G if not divides(ht, g[1])] + [h]
     return new_G, new_pairs, serial + len(E)
 
 
 def buchberger_reduced(F):
     """The unique reduced Groebner basis of <F> via Gebauer-Moller Buchberger.
 
-    Independent of the signature engine: shares only the polynomial
-    arithmetic layer.  Input need not be homogeneous.  Inputs and
-    S-polynomials are normal-formed by one ReducerSet over G, rebuilt only
-    when G changes, so its divisor cache serves every reduction in between.
+    Independent of the signature engine, but it runs on the engine's
+    packed-key arithmetic, ReducerSet and interreduce; the sympy
+    differential test is the check that shares none of them.  Input need not
+    be homogeneous.  Inputs and S-polynomials are normal-formed by one
+    ReducerSet over G, rebuilt only when G changes, so its divisor cache
+    serves every reduction in between.
     """
     fs = [f for f in F if f]
     if not fs:
@@ -282,7 +259,7 @@ def buchberger_reduced(F):
     for f in fs:
         add(f)
     while pairs:
-        g1, g2 = heappop(pairs)[5:]
+        g1, g2 = heappop(pairs)[3:]
         add(spoly(g1[0], g2[0]))
     return interreduce([g[0] for g in G])
 
@@ -314,4 +291,4 @@ def groebner_check(G) -> bool:
         entries, pairs, serial = _gm_update(entries, pairs, _gm_entry(g), serial)
     # smallest dividing head keeps verification chains short
     reducers = ReducerSet(Gs[0].ring, Gs, prefer=-1)
-    return not any(reducers.reduce_full(spoly(p[5][0], p[6][0])) for p in pairs)
+    return not any(reducers.reduce_full(spoly(p[3][0], p[4][0])) for p in pairs)

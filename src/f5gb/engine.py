@@ -175,10 +175,7 @@ class F5Engine:
         store = self.store
         ek = store.entry(k)
         el = store.entry(l)
-        lcm = tuple(
-            a if a >= b else b for a, b in zip(ek.head_exps, el.head_exps)
-        )
-        lcm_key = ring.key(lcm)
+        lcm_key = ring.lcm(ek.head_key, el.head_key)
         u1 = ring.key_div(lcm_key, ek.head_key)
         u2 = ring.key_div(lcm_key, el.head_key)
         s1 = ek.sig
@@ -193,7 +190,7 @@ class F5Engine:
             return None
         if (s1.index, ring.key_mul(u1, s1.key)) < (s2.index, ring.key_mul(u2, s2.key)):
             k, l, u1, u2 = l, k, u2, u1
-        return CriticalPair(lcm_key, sum(lcm), k, u1, l, u2)
+        return CriticalPair(lcm_key, ring.key_degree(lcm_key), k, u1, l, u2)
 
     # -- Algorithm: S-polynomials -------------------------------------------
 

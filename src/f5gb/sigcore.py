@@ -164,7 +164,7 @@ def compose_cofactors(ring, combo, cofs):
 class LabeledPolynomial:
     """One store entry: a fixed signature plus a mutable polynomial payload."""
 
-    __slots__ = ("sig", "poly", "cofactors", "head_key", "head_exps", "head_word")
+    __slots__ = ("sig", "poly", "cofactors", "head_key", "head_word")
 
     def __init__(self, sig: Signature, poly: Polynomial, cofactors=None):
         self.sig = sig
@@ -174,13 +174,10 @@ class LabeledPolynomial:
     def _set_poly(self, poly: Polynomial):
         self.poly = poly
         if poly.terms:
-            ring = poly.ring
             self.head_key = poly.terms[0][0]
-            self.head_exps = ring.exps(self.head_key)
-            self.head_word = ring.word(self.head_key)
+            self.head_word = poly.ring.word(self.head_key)
         else:
             self.head_key = None
-            self.head_exps = None
             self.head_word = None
 
     def __repr__(self):

@@ -188,6 +188,12 @@ def test_products_past_the_packed_degree_raise(kind):
     c = b2.term_mul((0, 765), 3)
     assert c.dict() == {(32000, 767): 3, (16000, 16767): 12, (0, 32767): 12}
     assert (a * P(ring, (1, (383, 16383)))).lt() == (16383, 16383)
+    # an lcm of degree 32767 packs, coprime or not; one more y does not
+    for u, v in [((0, 16383), (16384, 0)), ((10000, 16383), (16384, 10000))]:
+        lcm = ring.lcm(ring.key(u), ring.key(v))
+        assert ring.exps(lcm) == (16384, 16383) and ring.key_degree(lcm) == 32767
+        with pytest.raises(ExponentOverflowError):
+            ring.lcm(ring.key((u[0], u[1] + 1)), ring.key(v))
 
 
 @st.composite
@@ -236,6 +242,13 @@ def test_key_divisibility_agrees_with_exponent_tuples(case):
     ka, kb = ring.key(a), ring.key(b)
     assert ring.divides(ka, kb) == monomial_divides(a, b)
     assert ring.divides(kb, ka) == monomial_divides(b, a)
+    # ring.lcm packs exactly where ring.key(monomial_lcm(a, b)) does
+    lcm = monomial_lcm(a, b)
+    if sum(lcm) > 32767:
+        with pytest.raises(ExponentOverflowError):
+            ring.lcm(ka, kb)
+    else:
+        assert ring.lcm(ka, kb) == ring.lcm(kb, ka) == ring.key(lcm)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,30 @@ def test_run_parse_failure(tmp_path):
     assert "column" in err
 
 
+@pytest.mark.parametrize("algorithm", ["buchberger", "f5c"])
+def test_run_char_override_reads_the_file_integers(tmp_path, algorithm):
+    # -7 and 205 must be read mod 101, not first mod 32003 (which turns -7
+    # into 31996 = 80 mod 101)
+    system = "ring: x,y\nchar: {}\npolys:\nx^2 + 205*x*y - 7*y^2\nx*y^2 - 3*y^3\n"
+    override = tmp_path / "override.ideal"
+    override.write_text(system.format(32003))
+    rewritten = tmp_path / "rewritten.ideal"
+    rewritten.write_text(system.format(101))
+    code, out, _ = run(
+        ["run", "--input", str(override), "--algorithm", algorithm, "--char", "101"]
+    )
+    assert code == EXIT_OK
+    code, expected, _ = run(["run", "--input", str(rewritten), "--algorithm", algorithm])
+    assert code == EXIT_OK
+    assert out == expected
+    assert "x^2 + 3*x*y - 7*y^2" in expected.splitlines()
+    code, _, err = run(
+        ["run", "--input", str(override), "--algorithm", algorithm, "--char", "100"]
+    )
+    assert code == EXIT_PARSE
+    assert "100" in err
+
+
 def test_run_non_homogeneous_is_compute_error(tmp_path):
     path = tmp_path / "affine.ideal"
     path.write_text("ring: x,y\nchar: 7\npolys:\nx^2 - y\n")

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import f5gb.drivers
 from f5gb.algebra import (
     ORDER_KINDS,
+    ExponentOverflowError,
     NonHomogeneousError,
     Polynomial,
     PolynomialRing,
@@ -400,6 +401,36 @@ def test_groebner_check_reduces_only_the_gebauer_moller_pairs(monkeypatch):
     monkeypatch.setattr(f5gb.drivers, "spoly", counting_spoly)
     assert groebner_check(basis)
     assert len(calls) == 113
+
+
+def test_gebauer_moller_pair_stream_is_pinned(monkeypatch):
+    # a changed coprime or chain test can still yield correct bases; it
+    # moves these counts of the oracle's pair stream
+    counts = {"_gm_update": 0, "spoly": 0}
+    for name in counts:
+        original = getattr(f5gb.drivers, name)
+
+        def wrapper(*args, original=original, name=name):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(f5gb.drivers, name, wrapper)
+    basis = buchberger_reduced(cyclic(5, 32003))
+    assert counts["_gm_update"] == 38
+    counts["spoly"] = 0
+    assert groebner_check(basis)
+    assert counts["spoly"] == 108
+
+
+def test_an_lcm_past_the_packed_degree_raises_everywhere():
+    # the heads are coprime, so the product criterion drops their pair, but
+    # its lcm (total degree 32768) does not pack: the oracle and the check
+    # raise as f5 does
+    ring = PolynomialRing(32003, ("x", "y", "z", "w"))
+    F = [ring.from_terms([((16383, 1, 0, 0), 1)]), ring.from_terms([((0, 0, 16383, 1), 1)])]
+    for compute in (buchberger_reduced, groebner_check, f5):
+        with pytest.raises(ExponentOverflowError):
+            compute(F)
 
 
 def test_oracle_agreement_small_suite():

@@ -1,0 +1,81 @@
+"""Differential tests against sympy's Groebner bases.
+
+The oracle, groebner_check and the F5 variants share f5gb's packed-key
+arithmetic, ReducerSet and interreduce, so a fault there could cancel out
+between them.  sympy shares none of that code: these tests compare every
+basis with the monic reduced basis of sympy.groebner(..., modulus=p).
+"""
+
+import sympy
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from f5gb.algebra import PolynomialRing, interreduce
+from f5gb.drivers import buchberger_reduced, f5, f5c, f5r, groebner_check
+
+PRIMES = (2, 3, 101, 32003, 2**31 - 1)
+SYMPY_ORDER = {"grevlex": "grevlex", "lex": "lex", "deglex": "grlex"}
+GENS = sympy.symbols("x y z")
+
+
+def homogeneous(draw, ring, d):
+    """A homogeneous polynomial of degree d in three variables, 2-4 terms."""
+    exps = st.integers(0, d).flatmap(
+        lambda a: st.integers(0, d - a).map(lambda b: (a, b, d - a - b))
+    )
+    terms = st.lists(st.tuples(exps, st.integers(1, ring.p - 1)), min_size=2, max_size=4)
+    return ring.from_terms(draw(terms))
+
+
+@st.composite
+def systems(draw):
+    """2-3 homogeneous generators of degree 2-3 over F_p in x > y > z, and
+    sometimes a dependent one: a copy, a scalar or monomial multiple, or a
+    sum of two generators."""
+    p = draw(st.sampled_from(PRIMES))
+    ring = PolynomialRing(p, ("x", "y", "z"), draw(st.sampled_from(tuple(SYMPY_ORDER))))
+    F = []
+    for _ in range(draw(st.integers(2, 3))):
+        F.append(homogeneous(draw, ring, draw(st.integers(2, 3))))
+    F = [f for f in F if f]
+    how = draw(st.sampled_from(("none", "copy", "scale", "times_var", "sum")))
+    if F and how == "copy":
+        F.append(draw(st.sampled_from(F)))
+    elif F and how == "scale":
+        F.append(draw(st.sampled_from(F)).scale(draw(st.integers(1, p - 1))))
+    elif F and how == "times_var":
+        F.append(draw(st.sampled_from(F)) * ring.variable(draw(st.sampled_from(ring.names))))
+    elif how == "sum":
+        by_degree = {}
+        for f in F:
+            by_degree.setdefault(f.degree(), []).append(f)
+        same = [fs for fs in by_degree.values() if len(fs) > 1]
+        if same:
+            a, b = draw(st.sampled_from(same))[:2]
+            F.append(a + b)
+    F = [f for f in F if f]
+    return F or [ring.variable("x")]
+
+
+def sympy_reduced(ring, G):
+    """sympy's reduced basis of G, as monic f5gb polynomials sorted by head."""
+    polys = [sympy.Poly.from_dict(g.dict(), *GENS, modulus=ring.p) for g in G]
+    basis = sympy.groebner(polys, *GENS, order=SYMPY_ORDER[ring.order.kind], modulus=ring.p)
+    out = [
+        ring.from_terms((m, int(c)) for m, c in g.terms()).monic() for g in basis.polys
+    ]
+    return sorted(out, key=lambda g: g.lt_key())
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(systems())
+def test_bases_and_groebner_check_agree_with_sympy(F):
+    ring = F[0].ring
+    S = sympy_reduced(ring, F)
+    assert buchberger_reduced(F) == S
+    for variant in (f5, f5r, f5c):
+        assert interreduce(variant(F).basis) == S
+    assert groebner_check(S)
+    for drop in range(len(S) if len(S) > 1 else 0):
+        H = S[:drop] + S[drop + 1:]
+        # a subset of a reduced basis may itself be a basis of its ideal
+        assert groebner_check(H) == (sympy_reduced(ring, H) == H)
