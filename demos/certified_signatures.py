@@ -18,9 +18,9 @@ f1 = parse_polynomial(ring, "x*y + x")
 f2 = parse_polynomial(ring, "y^2 - 1")
 
 # (1)e1 certifies f1 trivially; (x)e2 certifies it via f1 = y*f1 - x*f2
-unit = LabeledPolynomial(Signature(ring, (0, 0), 1), f1, cofactors=[ring.one, ring.zero])
+unit = LabeledPolynomial(Signature(ring, (0, 0), 1).packed, f1, cofactors=[ring.one, ring.zero])
 relation = LabeledPolynomial(
-    Signature(ring, (1, 0), 2),
+    Signature(ring, (1, 0), 2).packed,
     f1,
     cofactors=[parse_polynomial(ring, "y"), parse_polynomial(ring, "-x")],
 )

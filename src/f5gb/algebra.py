@@ -228,6 +228,10 @@ class PolynomialRing:
         # (word(b) | guard) - word(a) against the guard.
         self.guard = sum(1 << (W * i + W - 1) for i in range(n))
         self._ones = sum(1 << (W * i) for i in range(n))
+        # Keys are below 2**sig_shift: a signature packs as index << sig_shift
+        # | key, ordered as (index, key); key_mul(u, s) multiplies its monomial.
+        self.sig_shift = W * (n + 1)
+        self.sig_mask = (1 << self.sig_shift) - 1
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, ((self.unit_key, 1),))
 

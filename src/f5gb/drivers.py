@@ -32,7 +32,7 @@ from .algebra import (
     spoly,
 )
 from .engine import F5Engine, PrevBasis, RunStats
-from .sigcore import Signature, compose_cofactors
+from .sigcore import compose_cofactors
 
 VARIANTS = ("f5", "f5r", "f5c")
 
@@ -101,7 +101,7 @@ def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False)
             t = heads[j]
             for k in range(j + 1, len(B)):
                 u = ring.key_div(ring.lcm(t, heads[k]), heads[k])
-                engine.rules.add_rule(Signature(ring, u, k + 1), 0)
+                engine.rules.add_rule((k + 1) << ring.sig_shift | u, 0)
     return list(range(1, len(B) + 1))
 
 

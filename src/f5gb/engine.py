@@ -20,7 +20,6 @@ from .algebra import PolynomialRing, ReducerSet
 from .sigcore import (
     PolyStore,
     RuleTable,
-    Signature,
     cofactors_scale,
     cofactors_sub,
     reduce_payload,
@@ -172,23 +171,23 @@ class F5Engine:
     def critical_pair(self, k: int, l: int, i: int, prev: PrevBasis):
         """The necessary pair {k, l}, or None when a criterion discards it."""
         ring = self.ring
-        store = self.store
-        ek = store.entry(k)
-        el = store.entry(l)
-        lcm_key = ring.lcm(ek.head_key, el.head_key)
-        u1 = ring.key_div(lcm_key, ek.head_key)
-        u2 = ring.key_div(lcm_key, el.head_key)
-        s1 = ek.sig
-        s2 = el.sig
+        heads, sigs = self.store.heads, self.store.sigs
+        lcm_key = ring.lcm(heads[k], heads[l])
+        u1 = ring.key_div(lcm_key, heads[k])
+        u2 = ring.key_div(lcm_key, heads[l])
+        # the packed u*sig: key_mul(key_div(lcm, head), sig) in one sum
+        us1 = lcm_key - heads[k] + sigs[k]
+        us2 = lcm_key - heads[l] + sigs[l]
+        base = i << ring.sig_shift  # no signature index exceeds i
         prev_heads = prev.reducers
-        if s1.index == i and prev_heads.is_top_reducible(ring.key_mul(u1, s1.key)):
+        if us1 >= base and prev_heads.is_top_reducible(us1 - base):
             return None
-        if s2.index == i and prev_heads.is_top_reducible(ring.key_mul(u2, s2.key)):
+        if us2 >= base and prev_heads.is_top_reducible(us2 - base):
             return None
         rules = self.rules
-        if rules.is_rewritable(u1, s1, k) or rules.is_rewritable(u2, s2, l):
+        if rules.is_rewritable(u1, sigs[k], k) or rules.is_rewritable(u2, sigs[l], l):
             return None
-        if (s1.index, ring.key_mul(u1, s1.key)) < (s2.index, ring.key_mul(u2, s2.key)):
+        if us1 < us2:
             k, l, u1, u2 = l, k, u2, u1
         return CriticalPair(lcm_key, ring.key_degree(lcm_key), k, u1, l, u2)
 
@@ -204,22 +203,21 @@ class F5Engine:
         ring = self.ring
         store = self.store
         rules = self.rules
+        sigs = store.sigs
         newpols = []
         for pair in sorted(pairs, key=lambda cp: (cp.lcm_key, cp.k, cp.l)):
-            ek = store.entry(pair.k)
-            el = store.entry(pair.l)
-            if rules.is_rewritable(pair.u_key, ek.sig, pair.k):
+            if rules.is_rewritable(pair.u_key, sigs[pair.k], pair.k):
                 continue
-            if rules.is_rewritable(pair.v_key, el.sig, pair.l):
+            if rules.is_rewritable(pair.v_key, sigs[pair.l], pair.l):
                 continue
+            ek = store.entries[pair.k]
+            el = store.entries[pair.l]
             lc_k = ek.poly.lc()
             lc_l = el.poly.lc()
             s = ek.poly.term_mul_key(pair.u_key, lc_l) - el.poly.term_mul_key(
                 pair.v_key, lc_k
             )
-            new_sig = Signature(
-                ring, ring.key_mul(pair.u_key, ek.sig.key), ek.sig.index
-            )
+            new_sig = ring.key_mul(pair.u_key, sigs[pair.k])
             cof = cofactors_sub(
                 ring, ek.cofactors, el.cofactors, pair.v_key, lc_k, pair.u_key, lc_l
             )
@@ -228,7 +226,7 @@ class F5Engine:
             self.it_stats.spolys += 1
             if s:
                 newpols.append(idx)
-        newpols.sort(key=lambda j: (store.sig(j).sort_key, j))
+        newpols.sort(key=sigs.__getitem__)  # stable: equal signatures keep store order
         return newpols
 
     # -- Algorithm: reduction -----------------------------------------------
@@ -243,12 +241,13 @@ class F5Engine:
         """
         store = self.store
         for j in todo:
-            entry = store.entry(j)
+            entry = store.entries[j]
             h, cof = reduce_payload(
                 prev.reducers, entry.poly, entry.cofactors, prev.cofactors, self.it_stats
             )
             store.set_poly(j, h, cof)
-        queue = [(store.sig(j).sort_key, j) for j in todo]
+        sigs = store.sigs
+        queue = [(sigs[j], j) for j in todo]
         heapify(queue)
         done: list = []
         while queue:
@@ -256,7 +255,7 @@ class F5Engine:
             completed, redo = self.top_reduction(k, prev, curr, done)
             done.extend(completed)
             for j in redo:
-                heappush(queue, (store.sig(j).sort_key, j))
+                heappush(queue, (sigs[j], j))
         return done
 
     def top_reduction(self, k: int, prev: PrevBasis, curr, done):
@@ -270,7 +269,7 @@ class F5Engine:
         """
         ring = self.ring
         store = self.store
-        entry = store.entry(k)
+        entry = store.entries[k]
         if entry.poly.is_zero():
             self.it_stats.zero_reductions += 1
             self.emit("Reduction to zero!")
@@ -283,8 +282,8 @@ class F5Engine:
                     k, entry.poly.scale(inv), cofactors_scale(entry.cofactors, inv)
                 )
             return (k,), ()
-        red = store.entry(j)
-        u_key = ring.key_div(entry.head_key, red.head_key)
+        red = store.entries[j]
+        u_key = ring.key_div(store.heads[k], store.heads[j])
         c = ring.field.div(entry.poly.lc(), red.poly.lc())
         multiple = red.poly.term_mul_key(u_key, ring.p - c)  # -c*u*r
         cof = cofactors_sub(ring, entry.cofactors, red.cofactors, u_key, c)
@@ -296,35 +295,37 @@ class F5Engine:
             if inv != 1:
                 p = p.scale(inv)
                 cof = cofactors_scale(cof, inv)
-        new_sig_key = ring.key_mul(u_key, red.sig.key)
-        if (red.sig.index, new_sig_key) < entry.sig.sort_key:
+        new_sig = ring.key_mul(u_key, store.sigs[j])
+        if new_sig < store.sigs[k]:
             store.set_poly(k, p, cof)
             return (), (k,)
-        new_sig = Signature(ring, new_sig_key, red.sig.index)
         idx = store.append(new_sig, p, cof)
         self.rules.add_rule(new_sig, idx)
         return (), (k, idx)
 
     def find_reductor(self, k: int, prev: PrevBasis, curr, done):
-        """First candidate (insertion order) passing the three safety tests."""
+        """First candidate (insertion order) passing the three safety tests.
+
+        curr and done hold nonzero entries of this iteration only.  The
+        payload of k is a normal form against prev.reducers, whose heads span
+        the head ideal of the previous basis (raw, interreduced or reduced
+        alike), so no head of the previous basis divides its head.
+        """
         ring = self.ring
-        store = self.store
-        rules = self.rules
-        entry = store.entry(k)
-        t_key = entry.head_key
-        g = ring.guard
-        target = entry.head_word | g
-        sig_k = entry.sig.sort_key
+        heads, words, sigs = self.store.heads, self.store.words, self.store.sigs
+        is_rewritable = self.rules.is_rewritable
+        is_top_reducible = prev.reducers.is_top_reducible
+        t_key, sig_k, mask, g = heads[k], sigs[k], ring.sig_mask, ring.guard
+        target = words[k] | g
         for j in chain(curr, done):
-            cand = store.entry(j)
-            if cand.head_key is None or (target - cand.head_word) & g != g:
+            if (target - words[j]) & g != g:
                 continue
-            u_key = ring.key_div(t_key, cand.head_key)
-            new_sig_key = ring.key_mul(u_key, cand.sig.key)
+            u_key = ring.key_div(t_key, heads[j])
+            new_sig = ring.key_mul(u_key, sigs[j])
             if (
-                (cand.sig.index, new_sig_key) != sig_k
-                and not rules.is_rewritable(u_key, cand.sig, j)
-                and not prev.reducers.is_top_reducible(new_sig_key)
+                new_sig != sig_k
+                and not is_rewritable(u_key, sigs[j], j)
+                and not is_top_reducible(new_sig & mask)
             ):
                 return j
         return None
@@ -357,7 +358,7 @@ class F5Engine:
             stats = self.it_stats
             stats.pairs_by_degree[d] = stats.pairs_by_degree.get(d, 0) + len(batch)
             todo = self.compute_spols(batch)
-            survivors = self.reduction(todo, prev, curr)
+            survivors = self.reduction(todo, prev, curr[len(prev_indices):])
             for k in sorted(survivors):
                 for j in curr:
                     add_pair(k, j)

@@ -21,9 +21,14 @@ class AdmissibilityError(AssertionError):
 
 
 class Signature:
-    """(monomial, index) with index >= 1; ordered by index, then monomial."""
+    """(monomial, index) with index >= 1; ordered by index, then monomial.
 
-    __slots__ = ("ring", "key", "index", "sort_key")
+    The public view of a packed signature: the store, the rule table and the
+    engine hold only the int packed = index << ring.sig_shift | key, whose
+    integer order is this order (see PolynomialRing.sig_shift).
+    """
+
+    __slots__ = ("ring", "key", "index", "packed")
 
     def __init__(self, ring: PolynomialRing, monomial, index: int):
         if index < 1:
@@ -31,7 +36,11 @@ class Signature:
         self.ring = ring
         self.key = monomial if isinstance(monomial, int) else ring.key(monomial)
         self.index = index
-        self.sort_key = (index, self.key)
+        self.packed = index << ring.sig_shift | self.key
+
+    @classmethod
+    def unpack(cls, ring: PolynomialRing, packed: int) -> Signature:
+        return cls(ring, packed & ring.sig_mask, packed >> ring.sig_shift)
 
     @property
     def monomial(self):
@@ -40,19 +49,15 @@ class Signature:
     def mul(self, monomial) -> Signature:
         """Natural signature of the product: (u * mu, nu)."""
         ring = self.ring
-        ukey = monomial if isinstance(monomial, int) else ring.key(monomial)
-        ring.check_degree(ring.key_degree(ukey) + ring.key_degree(self.key))
-        return Signature(ring, ring.key_mul(ukey, self.key), self.index)
+        u = ring.key(monomial)
+        ring.check_degree(ring.key_degree(u) + ring.key_degree(self.key))
+        return Signature.unpack(ring, ring.key_mul(u, self.packed))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Signature)
-            and self.index == other.index
-            and self.key == other.key
-        )
+        return isinstance(other, Signature) and self.packed == other.packed
 
     def __hash__(self):
-        return hash(self.sort_key)
+        return hash(self.packed)
 
     def __repr__(self):
         mono = self.ring.render_monomial(self.monomial) or "1"
@@ -61,13 +66,7 @@ class Signature:
 
 def sig_cmp(a, b) -> int:
     """-1 | 0 | 1 as a is below, equal to, or above b."""
-    ka = a.sort_key
-    kb = b.sort_key
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+    return (a.packed > b.packed) - (a.packed < b.packed)
 
 
 def sig_mul(u, s: Signature) -> Signature:
@@ -79,25 +78,25 @@ def admissible_check(entry, system) -> bool:
     """Verify a labeled polynomial's signature against the reference system.
 
     True iff there is one cofactor per system element, the cofactors h
-    vanish above the signature index, lt(h_nu) equals the signature
+    vanish above the signature index nu, lt(h_nu) equals the signature
     monomial, and sum(h_l * system_l) == poly exactly (one sum_products
     call, compared term by term).  Requires certified mode (cofactors
     present).
     """
     if entry.cofactors is None:
         raise ValueError("admissible_check needs cofactor tracking (certified mode)")
-    sig = entry.sig
+    ring = entry.poly.ring
     cof = entry.cofactors
     if len(cof) != len(system):
         return False
-    nu = sig.index
+    nu = entry.sig >> ring.sig_shift
     for lam in range(nu, len(cof)):
         if not cof[lam].is_zero():
             return False
     h_nu = cof[nu - 1]
-    if h_nu.is_zero() or h_nu.lt_key() != sig.key:
+    if h_nu.is_zero() or nu << ring.sig_shift | h_nu.lt_key() != entry.sig:
         return False
-    return sum_products(h_nu.ring, zip(cof, system)) == entry.poly
+    return sum_products(ring, zip(cof, system)) == entry.poly
 
 
 # -- cofactor arithmetic -----------------------------------------------------
@@ -162,26 +161,17 @@ def compose_cofactors(ring, combo, cofs):
 
 
 class LabeledPolynomial:
-    """One store entry: a fixed signature plus a mutable polynomial payload."""
+    """One store entry: a fixed packed signature plus a mutable polynomial payload."""
 
-    __slots__ = ("sig", "poly", "cofactors", "head_key", "head_word")
+    __slots__ = ("sig", "poly", "cofactors")
 
-    def __init__(self, sig: Signature, poly: Polynomial, cofactors=None):
+    def __init__(self, sig: int, poly: Polynomial, cofactors=None):
         self.sig = sig
-        self.cofactors = cofactors
-        self._set_poly(poly)
-
-    def _set_poly(self, poly: Polynomial):
         self.poly = poly
-        if poly.terms:
-            self.head_key = poly.terms[0][0]
-            self.head_word = poly.ring.word(self.head_key)
-        else:
-            self.head_key = None
-            self.head_word = None
+        self.cofactors = cofactors
 
     def __repr__(self):
-        return f"LabeledPolynomial({self.sig!r}, {self.poly!r})"
+        return f"LabeledPolynomial({Signature.unpack(self.poly.ring, self.sig)!r}, {self.poly!r})"
 
 
 class PolyStore:
@@ -190,24 +180,27 @@ class PolyStore:
     Index 0 is reserved for the phantom polynomial that rebuilt rewrite rules
     may point at.  The reference system lists the inputs e_1, e_2, ... added
     so far.  In certified mode every append and payload replacement is
-    checked for admissibility against it, and the original signature object
-    is pinned so mutation attempts surface.
+    checked for admissibility against it.
+
+    Three lists run parallel to entries, so the engine's scans compare plain
+    ints and touch no entry: sigs[k] is entry k's packed signature, and
+    heads[k] and words[k] are the key and word of its payload's head (None
+    for zero).  append and set_poly keep them in step; sigs[k] never changes
+    and is the pin check_signatures_frozen compares entries[k].sig with.
     """
 
     def __init__(self, ring: PolynomialRing, cap: int = 1_000_000, certified: bool = False):
         self.ring = ring
         self.cap = cap
         self.certified = certified
-        self.reference_system: list[Polynomial] = []
-        self._entries: list[LabeledPolynomial | None] = [None]
-        self._pinned_sigs: list = [None]
+        self.reset()
 
     @property
     def size(self) -> int:
-        return len(self._entries) - 1
+        return len(self.entries) - 1
 
     def entry(self, k: int) -> LabeledPolynomial:
-        e = self._entries[k]
+        e = self.entries[k]
         if e is None:
             raise IndexError(f"store has no entry {k}")
         return e
@@ -216,26 +209,25 @@ class PolyStore:
         return self.entry(k).poly
 
     def sig(self, k: int) -> Signature:
-        return self.entry(k).sig
+        return Signature.unpack(self.ring, self.entry(k).sig)
 
-    def entries(self):
-        return self._entries[1:]
-
-    def append(self, sig: Signature, poly: Polynomial, cofactors=None) -> int:
+    def append(self, sig: int, poly: Polynomial, cofactors=None) -> int:
         if self.size >= self.cap:
             raise StoreCapExceeded(f"store grew past the cap of {self.cap} entries")
-        entry = LabeledPolynomial(sig, poly, cofactors)
-        self._entries.append(entry)
-        self._pinned_sigs.append(sig)
-        if self.certified:
-            self._certify(self.size)
+        self.entries.append(LabeledPolynomial(sig, poly, cofactors))
+        self.sigs.append(sig)
+        self.heads.append(None)
+        self.words.append(None)
+        self.set_poly(self.size, poly, cofactors)
         return self.size
 
     def set_poly(self, k: int, poly: Polynomial, cofactors=None):
         """Replace the payload of entry k and its cofactors; its signature is immutable."""
         entry = self.entry(k)
-        entry._set_poly(poly)
+        entry.poly = poly
         entry.cofactors = cofactors
+        self.heads[k] = head = poly.terms[0][0] if poly.terms else None
+        self.words[k] = None if head is None else self.ring.word(head)
         if self.certified:
             self._certify(k)
 
@@ -250,41 +242,35 @@ class PolyStore:
         nu = len(self.reference_system)
         cof = None
         if self.certified:
-            for e in self.entries():
+            for e in self.entries[1:]:
                 e.cofactors = e.cofactors + [ring.zero]
             cof = [ring.zero] * (nu - 1) + [ring.one]
-        return self.append(Signature(ring, ring.unit_key, nu), poly, cof)
+        return self.append(nu << ring.sig_shift | ring.unit_key, poly, cof)
 
     def reset(self) -> None:
         """Empty the store and its reference system (reduced-basis rebuild)."""
-        self._entries = [None]
-        self._pinned_sigs = [None]
-        self.reference_system = []
+        self.entries, self.sigs, self.heads, self.words = [None], [None], [None], [None]
+        self.reference_system: list[Polynomial] = []
 
     def check_signatures_frozen(self) -> bool:
-        """Every entry still carries the signature object it was created with."""
-        return all(
-            e is None or e.sig is s
-            for e, s in zip(self._entries, self._pinned_sigs)
-        )
+        """Every entry still carries the signature it was created with."""
+        return all(e is None or e.sig == s for e, s in zip(self.entries, self.sigs))
 
     def _certify(self, k: int):
         entry = self.entry(k)
         if entry.cofactors is None:
-            raise AdmissibilityError(
-                f"certified store entry {k} carries no cofactors"
-            )
+            raise AdmissibilityError(f"certified store entry {k} carries no cofactors")
         if not admissible_check(entry, self.reference_system):
-            raise AdmissibilityError(
-                f"store entry {k} is not admissible: sig={entry.sig!r}"
-            )
+            raise AdmissibilityError(f"store entry {k} is not admissible: sig={self.sig(k)!r}")
 
 
 class RuleTable:
-    """Per-index, append-only lists of (signature monomial, store index).
+    """Per-index, append-only lists of (signature word, store index).
 
     Within each index list the nonzero store indices are strictly increasing;
-    index 0 entries point at the phantom polynomial.
+    index 0 entries point at the phantom polynomial.  Rules take packed
+    signatures and keep the exponent word ring.word(sig) of each, so one
+    guarded subtraction decides whether a rule's monomial divides a query's.
     """
 
     def __init__(self, ring: PolynomialRing):
@@ -302,38 +288,37 @@ class RuleTable:
         """Entries of Rules_nu as (monomial exponents, store index) pairs."""
         self.ensure_index(nu)
         ring = self.ring
-        return [(ring.exps(mk), j) for mk, _, j in self._lists[nu]]
+        return [(ring.exps(ring.word(w)), j) for w, j in self._lists[nu]]
 
     def index_count(self) -> int:
         return len(self._lists) - 1
 
-    def add_rule(self, sig: Signature, k: int):
-        """Append (sig monomial, k) to Rules_{sig.index}; k = 0 is the phantom."""
-        self.ensure_index(sig.index)
-        rules = self._lists[sig.index]
-        if k:
-            for _, _, j in reversed(rules):
-                if j:
-                    if k <= j:
-                        raise ValueError(
-                            f"rule store-indices must increase: {k} after {j}"
-                        )
-                    break
-        rules.append((sig.key, self.ring.word(sig.key), k))
+    def add_rule(self, sig: int, k: int):
+        """Append (sig monomial, k) to the rules of sig's index; k = 0 is the phantom."""
+        nu = sig >> self.ring.sig_shift
+        self.ensure_index(nu)
+        rules = self._lists[nu]
+        if k and k <= (last := next((j for _, j in reversed(rules) if j), 0)):
+            raise ValueError(f"rule store-indices must increase: {k} after {last}")
+        rules.append((self.ring.word(sig), k))
 
-    def find_rewriting(self, u, sig: Signature, k: int) -> int:
-        """Latest rule of Rules_{sig.index} whose monomial divides u*mu, else k."""
+    def find_rewriting(self, u: int, sig: int, k: int) -> int:
+        """Latest rule of sig's index whose monomial divides u*mu (u a key), else k.
+
+        Query and rule words carry index bits above the exponent fields;
+        borrows run only upward, so the guard bits decide as on bare keys.
+        """
         ring = self.ring
-        ukey = u if isinstance(u, int) else ring.key(u)
-        self.ensure_index(sig.index)
+        nu = sig >> ring.sig_shift
+        self.ensure_index(nu)
         g = ring.guard
-        target = ring.word(ring.key_mul(ukey, sig.key)) | g
-        for _, word, j in reversed(self._lists[sig.index]):
+        target = ring.word(ring.key_mul(u, sig)) | g
+        for word, j in reversed(self._lists[nu]):
             if (target - word) & g == g:
                 return j
         return k
 
-    def is_rewritable(self, u, sig: Signature, k: int) -> bool:
+    def is_rewritable(self, u: int, sig: int, k: int) -> bool:
         """True iff some later-recorded rule rewrites u * sig(k)."""
         j = self.find_rewriting(u, sig, k)
         if j and j < k:

@@ -169,9 +169,9 @@ def engine_after_iteration_two(xyzt, appendix_system):
     ring = xyzt
     engine = F5Engine(ring, stats=RunStats("f5c", ring.p, "grevlex"))
     fs = sorted(appendix_system, key=lambda f: (f.degree(), f.lt_key()))
-    engine.store.append(Signature(ring, ring.unit_key, 1), fs[0])
+    engine.store.append(Signature(ring, ring.unit_key, 1).packed, fs[0])
     engine.begin_iteration(2)
-    engine.store.append(Signature(ring, ring.unit_key, 2), fs[1])
+    engine.store.append(Signature(ring, ring.unit_key, 2).packed, fs[1])
     prev = PrevBasis(ring, [fs[0]])
     curr = engine.incremental_basis(2, prev, [1])
     return engine, curr
@@ -209,7 +209,7 @@ def test_setup_reduced_basis_phantom_rule_monomials(xyzt, appendix_system):
 def test_setup_reduced_basis_single_element(xyzt):
     ring = xyzt
     engine = F5Engine(ring, stats=RunStats("f5c", ring.p, "grevlex"))
-    engine.store.append(Signature(ring, ring.unit_key, 1), poly(ring, "x^2 + y^2"))
+    engine.store.append(Signature(ring, ring.unit_key, 1).packed, poly(ring, "x^2 + y^2"))
     new = setup_reduced_basis(engine, [1])
     assert new == [1]
     assert engine.rules.rules_for(1) == []

@@ -17,9 +17,9 @@ def seeded_engine(xyzt, appendix_system, **kw):
     ring = xyzt
     engine = F5Engine(ring, stats=RunStats("f5", ring.p, "grevlex"), **kw)
     fs = sorted(appendix_system, key=lambda f: (f.degree(), f.lt_key()))
-    engine.store.append(Signature(ring, ring.unit_key, 1), fs[0].monic())
+    engine.store.append(Signature(ring, ring.unit_key, 1).packed, fs[0].monic())
     engine.begin_iteration(2)
-    engine.store.append(Signature(ring, ring.unit_key, 2), fs[1].monic())
+    engine.store.append(Signature(ring, ring.unit_key, 2).packed, fs[1].monic())
     return engine, fs
 
 
@@ -127,7 +127,7 @@ def test_top_reduction_zero_payload(xyzt, appendix_system):
     engine, fs = seeded_engine(xyzt, appendix_system)
     prev = PrevBasis(xyzt, [fs[0]])
     k = engine.store.append(
-        Signature(xyzt, (0, 0, 2, 0), 2), xyzt.zero
+        Signature(xyzt, (0, 0, 2, 0), 2).packed, xyzt.zero
     )
     completed, redo = engine.top_reduction(k, prev, [1, 2], [])
     assert completed == () and redo == ()
@@ -138,7 +138,7 @@ def test_top_reduction_no_reductor_normalizes(xyzt, appendix_system):
     engine, fs = seeded_engine(xyzt, appendix_system)
     prev = PrevBasis(xyzt, [fs[0]])
     k = engine.store.append(
-        Signature(xyzt, (0, 0, 2, 0), 2), poly(xyzt, "7*z^6*t - 7*y^5*t^2")
+        Signature(xyzt, (0, 0, 2, 0), 2).packed, poly(xyzt, "7*z^6*t - 7*y^5*t^2")
     )
     completed, redo = engine.top_reduction(k, prev, [1, 2], [])
     assert completed == (k,) and redo == ()
@@ -150,10 +150,10 @@ def test_top_reduction_unsafe_branch_creates_entry():
     # polynomial instead of rewriting entry k in place
     ring = PolynomialRing(101, ("x", "y"))
     engine = F5Engine(ring, stats=RunStats("f5", 101, "grevlex"))
-    engine.store.append(Signature(ring, ring.unit_key, 1), poly(ring, "y^3"))
+    engine.store.append(Signature(ring, ring.unit_key, 1).packed, poly(ring, "y^3"))
     engine.begin_iteration(2)
-    j = engine.store.append(Signature(ring, (1, 0), 2), poly(ring, "x^2"))
-    k = engine.store.append(Signature(ring, (0, 1), 2), poly(ring, "x^2 + y^2"))
+    j = engine.store.append(Signature(ring, (1, 0), 2).packed, poly(ring, "x^2"))
+    k = engine.store.append(Signature(ring, (0, 1), 2).packed, poly(ring, "x^2 + y^2"))
     engine.rules.ensure_index(2)
     prev = PrevBasis(ring, [])
     completed, redo = engine.top_reduction(k, prev, [j], [])
@@ -168,22 +168,28 @@ def test_top_reduction_unsafe_branch_creates_entry():
     assert engine.rules.rules_for(2)[-1] == ((1, 0), new)
 
 
-def test_unsafe_branch_organic_system_certified():
-    # found by randomized search: this three-generator system drives
-    # top_reduction through the signature-raising branch three times; in
-    # certified mode every spawned entry passes its admissibility check,
-    # and the final bases still agree with the oracle
-    import f5gb.engine as eng
-    from f5gb.algebra import interreduce
-    from f5gb.drivers import VariantConfig, buchberger_reduced, f5, f5c
-
+def unsafe_system():
+    """Three deglex generators over F_7, found by randomized search, that
+    drive top_reduction through the signature-raising branch."""
     ring = PolynomialRing(7, ("w", "x", "y"), "deglex")
-    gens = polys(
+    return polys(
         ring,
         "w^2*x + w*x*y - 2*w*y^2 + x^3 + 2*x*y^2",
         "-3*w^2*x + 2*w*x^2",
         "-3*w^2*y + 2*w*y^2 + 2*x*y^2",
     )
+
+
+def test_unsafe_branch_organic_system_certified():
+    # this three-generator system drives top_reduction through the
+    # signature-raising branch three times; in certified mode every spawned
+    # entry passes its admissibility check, and the final bases still agree
+    # with the oracle
+    import f5gb.engine as eng
+    from f5gb.algebra import interreduce
+    from f5gb.drivers import VariantConfig, buchberger_reduced, f5, f5c
+
+    gens = unsafe_system()
     unsafe = [0]
     orig = eng.F5Engine.top_reduction
 
@@ -207,10 +213,10 @@ def test_unsafe_branch_organic_system_certified():
 def test_top_reduction_safe_branch_rewrites_in_place():
     ring = PolynomialRing(101, ("x", "y"))
     engine = F5Engine(ring, stats=RunStats("f5", 101, "grevlex"))
-    engine.store.append(Signature(ring, ring.unit_key, 1), poly(ring, "y^3"))
+    engine.store.append(Signature(ring, ring.unit_key, 1).packed, poly(ring, "y^3"))
     engine.begin_iteration(2)
-    j = engine.store.append(Signature(ring, (0, 1), 2), poly(ring, "x^2"))
-    k = engine.store.append(Signature(ring, (1, 0), 2), poly(ring, "x^2 + y^2"))
+    j = engine.store.append(Signature(ring, (0, 1), 2).packed, poly(ring, "x^2"))
+    k = engine.store.append(Signature(ring, (1, 0), 2).packed, poly(ring, "x^2 + y^2"))
     engine.rules.ensure_index(2)
     prev = PrevBasis(ring, [])
     completed, redo = engine.top_reduction(k, prev, [j], [])
@@ -222,10 +228,10 @@ def test_top_reduction_safe_branch_rewrites_in_place():
 def test_find_reductor_rejects_equal_signature():
     ring = PolynomialRing(101, ("x", "y"))
     engine = F5Engine(ring, stats=RunStats("f5", 101, "grevlex"))
-    engine.store.append(Signature(ring, ring.unit_key, 1), poly(ring, "y^3"))
+    engine.store.append(Signature(ring, ring.unit_key, 1).packed, poly(ring, "y^3"))
     engine.begin_iteration(2)
-    j = engine.store.append(Signature(ring, (0, 1), 2), poly(ring, "x^2"))
-    k = engine.store.append(Signature(ring, (0, 1), 2), poly(ring, "x^2 + y^2"))
+    j = engine.store.append(Signature(ring, (0, 1), 2).packed, poly(ring, "x^2"))
+    k = engine.store.append(Signature(ring, (0, 1), 2).packed, poly(ring, "x^2 + y^2"))
     prev = PrevBasis(ring, [])
     assert engine.find_reductor(k, prev, [j], []) is None
 
@@ -256,7 +262,7 @@ def test_incremental_basis_iteration_three_degrees(xyzt, appendix_system):
     prev = PrevBasis(xyzt, [fs[0]])
     curr = engine.incremental_basis(2, prev, [1])
     engine.begin_iteration(3)
-    engine.store.append(Signature(xyzt, xyzt.unit_key, 3), fs[2])
+    engine.store.append(Signature(xyzt, xyzt.unit_key, 3).packed, fs[2])
     prev = PrevBasis(xyzt, [engine.store.poly(k) for k in curr])
     curr = engine.incremental_basis(3, prev, curr)
     assert len(curr) == 10
@@ -272,13 +278,13 @@ def test_degree_stream_nondecreasing_and_rule_appends_match_store(xyzt, appendix
     ring = xyzt
     engine = F5Engine(ring, stats=RunStats("f5", ring.p, "grevlex"))
     fs = sorted(appendix_system, key=lambda f: (f.degree(), f.lt_key()))
-    engine.store.append(Signature(ring, ring.unit_key, 1), fs[0])
+    engine.store.append(Signature(ring, ring.unit_key, 1).packed, fs[0])
     seen_lines = []
     engine.trace = lambda line: seen_lines.append(line)
     prev_indices = [1]
     for i in (2, 3):
         engine.begin_iteration(i)
-        engine.store.append(Signature(ring, ring.unit_key, i), fs[i - 1])
+        engine.store.append(Signature(ring, ring.unit_key, i).packed, fs[i - 1])
         prev = PrevBasis(ring, [engine.store.poly(k) for k in prev_indices])
         seen_lines.clear()
         prev_indices = engine.incremental_basis(i, prev, prev_indices)
@@ -368,14 +374,86 @@ def test_stored_payloads_are_normal_forms(certified, monkeypatch):
     monkeypatch.setattr(F5Engine, "top_reduction", top_reduction)
     monkeypatch.setattr(F5Engine, "reduction", reduction)
     # the deglex system drives the unsafe branch (see the organic test above)
-    ring = PolynomialRing(7, ("w", "x", "y"), "deglex")
-    unsafe_system = polys(
-        ring,
-        "w^2*x + w*x*y - 2*w*y^2 + x^3 + 2*x*y^2",
-        "-3*w^2*x + 2*w*x^2",
-        "-3*w^2*y + 2*w*y^2 + 2*x*y^2",
-    )
-    for F in (katsura(4, 101), cyclic(5, 101), unsafe_system):
+    for F in (katsura(4, 101), cyclic(5, 101), unsafe_system()):
+        for variant in VARIANTS:
+            run_variant(F, VariantConfig(variant, certified=certified))
+    assert all(checked.values()), checked
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
+def test_find_reductor_scans_only_the_current_iteration(certified, monkeypatch):
+    # incremental_basis hands find_reductor only this iteration's elements:
+    # the new input, then the survivors of each earlier degree.  At every
+    # call no head of the previous basis divides the payload's head (each
+    # payload is a normal form against it, and the raw, interreduced and
+    # reduced previous bases share one head ideal), and the answer equals a
+    # reference scan over chain(prev_indices, fresh, done) in insertion order
+    # with the three safety tests, written on exponent tuples and Signature
+    # objects.  Killed mutants: done dropped from the scan, the previous
+    # basis scanned again, the new input left out, the rewritten or the
+    # previous-basis test dropped.  Reordering the scan survives: on every
+    # system tried (these, katsura-5/6, cyclic-6 and 3,000 random ones) no
+    # call has two candidates that pass all three tests.
+    from itertools import chain
+
+    from f5gb.algebra import is_top_reducible, monomial_div, monomial_divides
+    from f5gb.bench import cyclic, katsura
+    from f5gb.drivers import VARIANTS, VariantConfig, run_variant
+
+    orig_basis, orig_reduction = F5Engine.incremental_basis, F5Engine.reduction
+    orig_find = F5Engine.find_reductor
+    frames = []  # per open iteration: (prev_indices, this iteration's elements)
+    checked = {"fresh": 0, "done": 0, "none": 0}
+
+    def incremental_basis(self, i, prev, prev_indices):
+        frames.append((list(prev_indices), [self.store.size]))
+        try:
+            return orig_basis(self, i, prev, prev_indices)
+        finally:
+            frames.pop()
+
+    def reduction(self, todo, prev, curr):
+        done = orig_reduction(self, todo, prev, curr)
+        frames[-1][1].extend(sorted(done))
+        return done
+
+    def reference(engine, k, prev, done):
+        prev_indices, fresh = frames[-1]
+        store = engine.store
+        t = store.poly(k).lt()
+        for j in chain(prev_indices, fresh, done):
+            if not monomial_divides(store.poly(j).lt(), t):
+                continue
+            us = store.sig(j).mul(monomial_div(t, store.poly(j).lt()))
+            rewriter = next(
+                (idx for mono, idx in reversed(engine.rules.rules_for(us.index))
+                 if monomial_divides(mono, us.monomial)),
+                j,
+            )
+            if (
+                us != store.sig(k)
+                and rewriter == j
+                and not is_top_reducible(us.monomial, prev.polys)
+            ):
+                return j
+        return None
+
+    def find_reductor(self, k, prev, curr, done):
+        prev_indices, fresh = frames[-1]
+        assert list(curr) == fresh, (curr, fresh)
+        head = self.store.poly(k).lt()
+        for j in prev_indices:
+            assert not monomial_divides(self.store.poly(j).lt(), head), (k, j)
+        expected = reference(self, k, prev, done)
+        got = orig_find(self, k, prev, curr, done)
+        assert got == expected, (k, got, expected)
+        checked["none" if got is None else "done" if got in done else "fresh"] += 1
+        return got
+
+    monkeypatch.setattr(F5Engine, "incremental_basis", incremental_basis)
+    monkeypatch.setattr(F5Engine, "reduction", reduction)
+    monkeypatch.setattr(F5Engine, "find_reductor", find_reductor)
+    for F in (katsura(4, 101), cyclic(5, 101), unsafe_system()):
         for variant in VARIANTS:
             run_variant(F, VariantConfig(variant, certified=certified))
     assert all(checked.values()), checked

@@ -6,15 +6,16 @@ between them.  sympy shares none of that code: these tests compare every
 basis with the monic reduced basis of sympy.groebner(..., modulus=p).
 """
 
+import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from f5gb.algebra import PolynomialRing, interreduce
+from f5gb.algebra import PolynomialRing, interreduce, monomial_divides
+from f5gb.bench import cyclic, katsura
 from f5gb.drivers import buchberger_reduced, f5, f5c, f5r, groebner_check
 
 PRIMES = (2, 3, 101, 32003, 2**31 - 1)
 SYMPY_ORDER = {"grevlex": "grevlex", "lex": "lex", "deglex": "grlex"}
-GENS = sympy.symbols("x y z")
 
 
 def homogeneous(draw, ring, d):
@@ -58,8 +59,9 @@ def systems(draw):
 
 def sympy_reduced(ring, G):
     """sympy's reduced basis of G, as monic f5gb polynomials sorted by head."""
-    polys = [sympy.Poly.from_dict(g.dict(), *GENS, modulus=ring.p) for g in G]
-    basis = sympy.groebner(polys, *GENS, order=SYMPY_ORDER[ring.order.kind], modulus=ring.p)
+    gens = sympy.symbols(ring.names)
+    polys = [sympy.Poly.from_dict(g.dict(), *gens, modulus=ring.p) for g in G]
+    basis = sympy.groebner(polys, *gens, order=SYMPY_ORDER[ring.order.kind], modulus=ring.p)
     out = [
         ring.from_terms((m, int(c)) for m, c in g.terms()).monic() for g in basis.polys
     ]
@@ -79,3 +81,22 @@ def test_bases_and_groebner_check_agree_with_sympy(F):
         H = S[:drop] + S[drop + 1:]
         # a subset of a reduced basis may itself be a basis of its ideal
         assert groebner_check(H) == (sympy_reduced(ring, H) == H)
+
+
+@pytest.mark.parametrize("name", ["katsura-4", "cyclic-5"])
+def test_table3_small_systems_agree_with_sympy(name):
+    # the two smallest systems of the paper's Table 3, at p = 32003 under
+    # grevlex (katsura-5 would add about 2 s of sympy time)
+    F = katsura(4) if name == "katsura-4" else cyclic(5)
+    ring = F[0].ring
+    S = sympy_reduced(ring, F)
+    assert buchberger_reduced(F) == S
+    raw = [variant(F).basis for variant in (f5, f5r, f5c)]
+    for basis in raw:
+        assert interreduce(basis) == S
+    # each H below generates <F>, so it is a Groebner basis iff its heads
+    # divide every head of sympy's basis; the inputs themselves are not one
+    for H in (S, F, raw[0], raw[2]):
+        expected = all(any(monomial_divides(h.lt(), s.lt()) for h in H) for s in S)
+        assert groebner_check(H) == expected
+    assert not groebner_check(F)
