@@ -724,6 +724,36 @@ class ReducerSet:
         return Polynomial(ring, tuple(out))
 
 
+def reduce_payload(reducers, poly: Polynomial, cofs, basis_cofs, stats):
+    """(h, cofs - sum_j q_j * basis_cofs[j]) for h = reducers.reduce_full(poly).
+
+    The q_j are the quotients reduce_full records against reducers.polys,
+    whose cofactor vectors basis_cofs lists in the same order (another
+    length raises ValueError).  Each updated cofactor
+    cofs[m] - sum_j q_j * basis_cofs[j][m] is one sum_products call over the
+    pairs (-q_j, basis_cofs[j][m]) and (cofs[m], 1); cofs None passes through.
+    """
+    if cofs is None:
+        return reducers.reduce_full(poly, stats=stats), None
+    ring = reducers.ring
+    quotients = [dict() for _ in reducers.polys]
+    h = reducers.reduce_full(poly, stats=stats, quotients=quotients)
+    pairs = [[] for _ in cofs]
+    for qmap, bcofs in zip(quotients, basis_cofs, strict=True):
+        if not qmap:
+            continue
+        neg_q = -Polynomial(ring, tuple(sorted(qmap.items(), reverse=True)))
+        for m, c in enumerate(bcofs):
+            if c:
+                pairs[m].append((neg_q, c))
+    out = list(cofs)
+    for m, ps in enumerate(pairs):
+        if ps:
+            ps.append((cofs[m], ring.one))
+            out[m] = sum_products(ring, ps)
+    return h, out
+
+
 def normal_form(p: Polynomial, G, stats=None) -> Polynomial:
     """Fully reduce p modulo G: head and tail monomials all end up irreducible."""
     live = [g for g in G if g]
@@ -756,47 +786,50 @@ def _autoreduce(G):
     return live
 
 
-def _reduce_tails(G, with_quotients: bool):
+def _reduce_tails(G, cofs):
     """Head minimization, then tail reduction against one shared ReducerSet.
 
-    Returns (kept, result, quotients, clean).  kept lists (monic element,
-    input position) with pairwise indivisible heads, ascending; result[i] is
-    kept[i] with its tail fully reduced; quotients[i] holds that reduction's
-    reduce_full quotient maps, aligned with kept (None unless with_quotients).
-    clean is False when an element dropped by head minimization does not
-    reduce to zero against the result, which means G is no Groebner basis.
+    cofs lists one cofactor vector, or None, per element of G (another
+    length raises ValueError).  Returns (result, result_cofs, clean):
+    result lists the kept elements, monic with pairwise indivisible heads
+    and ascending, each with its tail fully reduced, and result_cofs their
+    cofactor vectors (None for None).  clean is False when an element
+    dropped by head minimization does not reduce to zero against the
+    result, which means G is no Groebner basis.
     """
     live = sorted(
-        ((g.monic(), i) for i, g in enumerate(G) if g), key=lambda t: t[0].lt_key()
+        ((g, c) for g, c in zip(G, cofs, strict=True) if g), key=lambda t: t[0].lt_key()
     )
     if not live:
-        return [], [], [], True
+        return [], [], True
     ring = live[0][0].ring
     # head minimization: for a Groebner basis, elements whose head another
-    # head divides reduce to zero against the rest and can be dropped
+    # head divides reduce to zero against the rest and can be dropped; a kept
+    # element is made monic, and its vector is scaled by the same 1/lc
     kept = []
     dropped = []
-    for g, i in live:
+    for g, c in live:
         if any(ring.divides(h.lt_key(), g.lt_key()) for h, _ in kept):
             dropped.append(g)
         else:
-            kept.append((g, i))
+            inv = ring.field.inv(g.lc())
+            kept.append((g.monic(), c if c is None or inv == 1 else [h.scale(inv) for h in c]))
+    kcofs = [c for _, c in kept]
     # tail reduction against one shared reducer set: heads are pairwise
     # indivisible, so only tail monomials ever reduce, and any fixpoint with
     # these heads is the canonical reduced basis
     shared = ReducerSet(ring, [g for g, _ in kept])
     result = []
-    quotients = []
-    for g, _ in kept:
-        q = [dict() for _ in kept] if with_quotients else None
-        reduced_tail = shared.reduce_full(Polynomial(ring, g.terms[1:]), quotients=q)
-        result.append(Polynomial(ring, g.terms[:1] + reduced_tail.terms))
-        quotients.append(q)
+    result_cofs = []
+    for g, kc in kept:
+        tail, out = reduce_payload(shared, Polynomial(ring, g.terms[1:]), kc, kcofs, None)
+        result.append(Polynomial(ring, g.terms[:1] + tail.terms))
+        result_cofs.append(out)
     clean = True
     if dropped:
         verifier = ReducerSet(ring, result)
         clean = not any(verifier.reduce_full(d) for d in dropped)
-    return kept, result, quotients, clean
+    return result, result_cofs, clean
 
 
 def interreduce(G):
@@ -808,31 +841,22 @@ def interreduce(G):
     basis of its ideal (the caller's obligation); other input falls back to
     a fixpoint interreduction.
     """
-    _, result, _, clean = _reduce_tails(G, with_quotients=False)
+    result, _, clean = _reduce_tails(G, [None] * len(G))
     return result if clean else _autoreduce(G)
 
 
-def interreduce_with_cofactors(G):
-    """interreduce plus, per output, a {input position: Polynomial} combination.
+def interreduce_with_cofactors(G, cofs):
+    """interreduce, carrying one cofactor vector (or None) per element of G.
 
-    Each output equals sum(cof[i] * G[i]); used by certified-mode runs to
-    carry module representations through the interreduction.  G must be a
-    Groebner basis: other input raises ValueError.
+    Returns (result, result_cofs): result equals interreduce(G), and where
+    cofs[i] writes G[i] over some system, result_cofs[a] writes result[a]
+    over it (None where the input vectors are None).  G must be a Groebner
+    basis and cofs as long as G: other input raises ValueError.
     """
-    kept, result, quotients, clean = _reduce_tails(G, with_quotients=True)
+    result, result_cofs, clean = _reduce_tails(G, cofs)
     if not clean:
         raise ValueError("interreduce_with_cofactors needs a Groebner basis")
-    # kept[j] = G[i_j] / lc(G[i_j]), and output a = kept[a] - sum_j q_aj * kept[j]
-    invs = [g.ring.field.inv(G[i].lc()) for g, i in kept]
-    combos = []
-    for (g, i), inv, qmaps in zip(kept, invs, quotients):
-        combo = {i: g.ring.constant(inv)}
-        for (_, j), inv_j, qmap in zip(kept, invs, qmaps):
-            if qmap:
-                q = Polynomial(g.ring, tuple(sorted(qmap.items(), reverse=True)))
-                combo[j] = q.scale(-inv_j)
-        combos.append(combo)
-    return result, combos
+    return result, result_cofs
 
 
 def homogenize(polys, var: str = "h"):

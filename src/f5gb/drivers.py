@@ -5,7 +5,9 @@ in how the previous basis is carried between iterations:
 
 * f5  keeps the raw store polynomials,
 * f5r reduces against the interreduced basis but keeps pairs/signatures on
-  the raw store (identical pair and S-polynomial stream to f5),
+  the raw store (identical pair and S-polynomial stream to f5); one
+  interreduce_with_cofactors call carries the cofactor vectors through the
+  interreduction, or passes a plain run's None through,
 * f5c rebuilds the store and rewrite rules around the reduced basis after
   every iteration, so later iterations see fewer generators.
 
@@ -32,7 +34,6 @@ from .algebra import (
     spoly,
 )
 from .engine import F5Engine, PrevBasis, RunStats
-from .sigcore import compose_cofactors
 
 VARIANTS = ("f5", "f5r", "f5c")
 
@@ -107,17 +108,12 @@ def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False)
 
 def _prev_bundle(engine: F5Engine, variant: str, prev_indices):
     """Build the PrevBasis a new iteration reduces against."""
-    ring = engine.ring
     store = engine.store
     polys = [store.poly(k) for k in prev_indices]
     cofs = [store.entry(k).cofactors for k in prev_indices]
     if variant == "f5r":
-        if store.certified:
-            polys, combos = interreduce_with_cofactors(polys)
-            cofs = [compose_cofactors(ring, combo, cofs) for combo in combos]
-        else:
-            polys = interreduce(polys)
-    return PrevBasis(ring, polys, cofs)
+        polys, cofs = interreduce_with_cofactors(polys, cofs)
+    return PrevBasis(engine.ring, polys, cofs)
 
 
 def run_variant(F, config: VariantConfig, trace=None) -> BasisResult:

@@ -16,14 +16,8 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
-from .algebra import PolynomialRing, ReducerSet
-from .sigcore import (
-    PolyStore,
-    RuleTable,
-    cofactors_scale,
-    cofactors_sub,
-    reduce_payload,
-)
+from .algebra import PolynomialRing, ReducerSet, reduce_payload
+from .sigcore import PolyStore, RuleTable, cofactors_scale, cofactors_sub
 
 
 @dataclass

@@ -102,8 +102,9 @@ def admissible_check(entry, system) -> bool:
 # -- cofactor arithmetic -----------------------------------------------------
 # In certified mode every payload carries a cofactor vector over the store's
 # reference system; in plain mode it carries None.  The engine and the drivers
-# update cofactor vectors only through these helpers, which pass None through,
-# so the engine runs the same statements in both modes.
+# update cofactor vectors only through these helpers and
+# algebra.reduce_payload, which all pass None through, so the engine and
+# F5R's interreduction run the same statements in both modes.
 
 
 def cofactors_sub(ring, a, b, tb_key, tb_c, ta_key=None, ta_c=1):
@@ -120,44 +121,6 @@ def cofactors_scale(a, c: int):
     if a is None:
         return None
     return [h.scale(c) for h in a]
-
-
-def reduce_payload(reducers, poly: Polynomial, cofs, basis_cofs, stats):
-    """(h, cofs - sum_j q_j * basis_cofs[j]) for h = reducers.reduce_full(poly).
-
-    The q_j are the quotients reduce_full records against reducers.polys,
-    whose cofactor vectors basis_cofs lists in the same order.  Each updated
-    cofactor cofs[m] - sum_j q_j * basis_cofs[j][m] is one sum_products call
-    over the pairs (-q_j, basis_cofs[j][m]) and (cofs[m], 1).
-    """
-    if cofs is None:
-        return reducers.reduce_full(poly, stats=stats), None
-    ring = reducers.ring
-    quotients = [dict() for _ in reducers.polys]
-    h = reducers.reduce_full(poly, stats=stats, quotients=quotients)
-    pairs = [[] for _ in cofs]
-    for qmap, bcofs in zip(quotients, basis_cofs):
-        if not qmap:
-            continue
-        neg_q = -Polynomial(ring, tuple(sorted(qmap.items(), reverse=True)))
-        for m, c in enumerate(bcofs):
-            if c:
-                pairs[m].append((neg_q, c))
-    out = list(cofs)
-    for m, ps in enumerate(pairs):
-        if ps:
-            ps.append((cofs[m], ring.one))
-            out[m] = sum_products(ring, ps)
-    return h, out
-
-
-def compose_cofactors(ring, combo, cofs):
-    """sum_j combo[j] * cofs[j] for a {position: Polynomial} combination;
-    entry m is one sum_products call over the pairs (combo[j], cofs[j][m])."""
-    return [
-        sum_products(ring, [(q, cofs[j][m]) for j, q in combo.items()])
-        for m in range(len(cofs[0]))
-    ]
 
 
 class LabeledPolynomial:

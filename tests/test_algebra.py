@@ -29,6 +29,7 @@ from f5gb.algebra import (
     monomial_mul,
     normal_form,
     order_cmp,
+    reduce_payload,
     spoly,
     sum_products,
     top_reduce_step,
@@ -838,6 +839,20 @@ def test_engine_runs_look_up_the_same_keys_as_the_eager_kernel(F, monkeypatch):
     assert len(compared) > 100 and sum(compared) > 1000
 
 
+def test_reduce_payload_rejects_a_basis_missing_a_cofactor_vector():
+    ring = PolynomialRing(32003, ("x", "y"))
+    x, y = P(ring, (1, (1, 0))), P(ring, (1, (0, 1)))
+    reducers = ReducerSet(ring, [x, y])
+    f = P(ring, (1, (1, 1)), (1, (0, 2)))  # x*y + y^2: both quotients are y
+    # over the system (x, y): f = y*x + y*y
+    h, cofs = reduce_payload(reducers, f, [y, y], [[ring.one, ring.zero], [ring.zero, ring.one]], None)
+    assert h.is_zero() and cofs == [ring.zero, ring.zero]
+    assert reduce_payload(reducers, f, None, None, None) == (h, None)
+    # without y's vector, the quotient against y would be dropped silently
+    with pytest.raises(ValueError):
+        reduce_payload(reducers, f, [y, y], [[ring.one, ring.zero]], None)
+
+
 # ---------------------------------------------------------------------------
 # interreduction
 
@@ -897,16 +912,23 @@ def test_interreduce_with_cofactors_on_raw_f5_basis():
     from f5gb.bench import katsura
     from f5gb.drivers import f5
 
-    G = f5(katsura(3, 101)).basis
+    # f5's basis elements are monic; distinct leading coefficients make the
+    # output vectors depend on the 1/lc scaling of the kept elements
+    G = [g.scale(c) for c, g in enumerate(f5(katsura(3, 101)).basis, start=2)]
     ring = G[0].ring
-    outputs, combos = interreduce_with_cofactors(G)
+    units = [[ring.one if j == i else ring.zero for j in range(len(G))] for i in range(len(G))]
+    outputs, cofs = interreduce_with_cofactors(G, units)
     assert outputs == interreduce(G)
-    assert len(combos) == len(outputs)
-    for out, combo in zip(outputs, combos):
+    assert len(cofs) == len(outputs)
+    for out, cof in zip(outputs, cofs):
         total = ring.zero
-        for i, q in combo.items():
-            total = total + q * G[i]
+        for q, g in zip(cof, G):
+            total = total + q * g
         assert total == out
+    # plain runs carry None vectors, which pass straight through
+    assert interreduce_with_cofactors(G, [None] * len(G)) == (outputs, [None] * len(outputs))
+    with pytest.raises(ValueError):
+        interreduce_with_cofactors(G, units[:-1])
 
 
 def test_interreduce_with_cofactors_rejects_non_groebner_input():
@@ -918,7 +940,7 @@ def test_interreduce_with_cofactors_rejects_non_groebner_input():
         P(ring, (1, (2, 2))),
     ]
     with pytest.raises(ValueError):
-        interreduce_with_cofactors(G)
+        interreduce_with_cofactors(G, [None] * len(G))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The oracle, groebner_check and the F5 variants share f5gb's packed-key
 arithmetic, ReducerSet and interreduce, so a fault there could cancel out
 between them.  sympy shares none of that code: these tests compare every
-basis with the monic reduced basis of sympy.groebner(..., modulus=p).
+basis with the monic reduced basis of sympy.groebner(..., modulus=p), and
+re-check certified runs' cofactor vectors with sympy's arithmetic.
 """
 
 import pytest
@@ -12,7 +13,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from f5gb.algebra import PolynomialRing, interreduce, monomial_divides
 from f5gb.bench import cyclic, katsura
-from f5gb.drivers import buchberger_reduced, f5, f5c, f5r, groebner_check
+from f5gb.drivers import (
+    VariantConfig,
+    buchberger_reduced,
+    f5,
+    f5c,
+    f5r,
+    groebner_check,
+    run_variant,
+)
+from f5gb.engine import PrevBasis
+from f5gb.sigcore import PolyStore, Signature
 
 PRIMES = (2, 3, 101, 32003, 2**31 - 1)
 SYMPY_ORDER = {"grevlex": "grevlex", "lex": "lex", "deglex": "grlex"}
@@ -100,3 +111,69 @@ def test_table3_small_systems_agree_with_sympy(name):
         expected = all(any(monomial_divides(h.lt(), s.lt()) for h in H) for s in S)
         assert groebner_check(H) == expected
     assert not groebner_check(F)
+
+
+@pytest.mark.parametrize("name", ["katsura-4", "cyclic-4"])
+def test_certificates_hold_in_sympy(name, monkeypatch):
+    # admissible_check verifies sum_l h_l * f_l == g with f5gb's own
+    # sum_products; here the final state of every certified store entry
+    # (each f5c rebuild's store included) is re-checked in sympy: the sum,
+    # h_l == 0 for l > nu, and lm(h_nu) equal to the signature monomial.
+    # Every f5r PrevBasis vector must compose its interreduced polynomial.
+    F = katsura(4) if name == "katsura-4" else cyclic(4)
+    ring = F[0].ring
+    gens = sympy.symbols(ring.names)
+    order = SYMPY_ORDER[ring.order.kind]
+
+    def sym(g):
+        return sympy.Poly.from_dict(g.dict(), *gens, modulus=ring.p)
+
+    def composes(cofs, system, g):
+        total = sympy.Poly(0, *gens, modulus=ring.p)
+        for h, f in zip(cofs, system, strict=True):
+            total += sym(h) * f
+        return total == sym(g)
+
+    generations = []  # (entries, reference system) lists of every store
+    reset = PolyStore.reset
+
+    def recording_reset(store):
+        reset(store)
+        generations.append((store.entries, store.reference_system))
+
+    prevs = []
+
+    class RecordingPrevBasis(PrevBasis):
+        __slots__ = ()
+
+        def __init__(self, ring, polys, cofactors=None):
+            super().__init__(ring, polys, cofactors)
+            prevs.append(self)
+
+    monkeypatch.setattr(PolyStore, "reset", recording_reset)
+    monkeypatch.setattr("f5gb.drivers.PrevBasis", RecordingPrevBasis)
+    checked = 0
+    for variant in ("f5", "f5r", "f5c"):
+        generations.clear()
+        prevs.clear()
+        run_variant(F, VariantConfig(variant, certified=True))
+        for entries, system in generations:
+            system = [sym(f) for f in system]
+            for e in entries[1:]:
+                sig = Signature.unpack(ring, e.sig)
+                nu = sig.index
+                assert composes(e.cofactors, system, e.poly)
+                assert all(h.is_zero() for h in e.cofactors[nu:])
+                h_nu = sym(e.cofactors[nu - 1])
+                assert not h_nu.is_zero and h_nu.monoms(order=order)[0] == sig.monomial
+                checked += 1
+        if variant == "f5r":
+            assert len(prevs) == len(F) - 1
+            # one store: its reference system is the inputs in run order
+            system = [sym(f) for f in generations[0][1]]
+            for prev in prevs:
+                assert len(prev.cofactors) == len(prev.polys)
+                for g, cofs in zip(prev.polys, prev.cofactors):
+                    assert composes(cofs, system[: len(cofs)], g)
+                    checked += 1
+    assert checked > 40
