@@ -354,6 +354,10 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     if args.skip_rule_rebuild and args.algorithm != "f5c":
         print("f5gb: error: --skip-rule-rebuild applies to --algorithm f5c only", file=stderr)
         return EXIT_USAGE
+    if args.certified and args.algorithm == "buchberger":
+        print("f5gb: error: --certified applies to the signature-based algorithms only",
+              file=stderr)
+        return EXIT_USAGE
     command = _cmd_run if args.command == "run" else _cmd_bench
     try:
         return command(args, stdout, stderr)

@@ -230,8 +230,11 @@ class F5Engine:
 
         Each S-polynomial is first normal-formed against the previous basis.
         Every payload the loop meets is then a normal form, so each pop
-        takes the minimal remaining signature and attempts one
-        signature-aware top-reduction step via top_reduction.
+        takes the minimal remaining signature and runs its whole chain of
+        safe top-reduction steps via top_reduction.  The heap holds the
+        S-polynomials and the two entries of each unsafe split: a safe step
+        would requeue the minimum under its unchanged (signature, index)
+        pair, which the next pop would take again.
         """
         store = self.store
         for j in todo:
@@ -253,68 +256,79 @@ class F5Engine:
         return done
 
     def top_reduction(self, k: int, prev: PrevBasis, curr, done):
-        """One signature-aware top-reduction attempt on store entry k.
+        """Run store entry k through its whole chain of safe top reductions.
 
-        Returns (completed, redo).  A zero payload counts as a reduction to
-        zero; a safe step replaces the payload and requeues k; an unsafe step
-        spawns a new store entry carrying the larger signature.  Both store a
-        normal form: the payload h of k is one, and normal forms against the
-        previous basis are linear, so NF(h - c*u*r) = h + NF(-c*u*r).
+        Returns (completed, redo): ((k,), ()) once no reductor is left, with
+        k stored monic; ((), ()) for a reduction to zero; ((), (k, idx)) at an
+        unsafe step, whose monic result is the new entry idx with the larger
+        signature.  Between safe steps (u*sig(r) < sig(k)) the payload h and
+        its cofactors stay local and unscaled: a step adds NF(-c*u*r), as h
+        is a normal form and normal forms are linear, so h is lam times what
+        a loop storing each step monic would hold (lam = lc(h) after a step,
+        1 before).  The store before an unsafe split and a zero result's
+        cofactors are scaled by 1/lam, so every stored payload is the same.
         """
-        ring = self.ring
-        store = self.store
+        ring, store, field = self.ring, self.store, self.ring.field
         entry = store.entries[k]
-        if entry.poly.is_zero():
-            self.it_stats.zero_reductions += 1
-            self.emit("Reduction to zero!")
-            return (), ()
-        j = self.find_reductor(k, prev, curr, done)
-        if j is None:
-            if entry.poly.lc() != 1:
-                inv = ring.field.inv(entry.poly.lc())
-                store.set_poly(
-                    k, entry.poly.scale(inv), cofactors_scale(entry.cofactors, inv)
-                )
-            return (k,), ()
-        red = store.entries[j]
-        u_key = ring.key_div(store.heads[k], store.heads[j])
-        c = ring.field.div(entry.poly.lc(), red.poly.lc())
-        multiple = red.poly.term_mul_key(u_key, ring.p - c)  # -c*u*r
-        cof = cofactors_sub(ring, entry.cofactors, red.cofactors, u_key, c)
-        nf, cof = reduce_payload(prev.reducers, multiple, cof, prev.cofactors, self.it_stats)
-        p = entry.poly + nf
-        self.it_stats.reduction_steps += 1
-        if p:
-            inv = ring.field.inv(p.lc())
-            if inv != 1:
-                p = p.scale(inv)
-                cof = cofactors_scale(cof, inv)
-        new_sig = ring.key_mul(u_key, store.sigs[j])
-        if new_sig < store.sigs[k]:
-            store.set_poly(k, p, cof)
-            return (), (k,)
-        idx = store.append(new_sig, p, cof)
-        self.rules.add_rule(new_sig, idx)
-        return (), (k, idx)
+        h, cof, sig_k = entry.poly, entry.cofactors, store.sigs[k]
+        stepped = False
+        while h:
+            head = h.terms[0][0]
+            j = self.find_reductor(k, head, prev, curr, done)
+            if j is None:
+                inv = field.inv(h.lc())
+                if stepped or inv != 1:
+                    store.set_poly(k, h.scale(inv), cofactors_scale(cof, inv))
+                return (k,), ()
+            red = store.entries[j]
+            u_key = ring.key_div(head, store.heads[j])
+            new_sig = ring.key_mul(u_key, store.sigs[j])
+            safe = new_sig < sig_k
+            if not safe and stepped:  # k as a step-by-step loop stored it
+                inv = field.inv(h.lc())
+                h, cof = h.scale(inv), cofactors_scale(cof, inv)
+                store.set_poly(k, h, cof)
+            c = field.div(h.lc(), red.poly.lc())
+            multiple = red.poly.term_mul_key(u_key, ring.p - c)  # -c*u*r
+            p_cof = cofactors_sub(ring, cof, red.cofactors, u_key, c)
+            nf, p_cof = reduce_payload(prev.reducers, multiple, p_cof, prev.cofactors, self.it_stats)
+            p = h + nf
+            self.it_stats.reduction_steps += 1
+            if safe:
+                if not p:
+                    inv = field.inv(h.lc()) if stepped else 1
+                    store.set_poly(k, p, cofactors_scale(p_cof, inv))
+                h, cof, stepped = p, p_cof, True
+                continue
+            if p and p.lc() != 1:
+                inv = field.inv(p.lc())
+                p, p_cof = p.scale(inv), cofactors_scale(p_cof, inv)
+            idx = store.append(new_sig, p, p_cof)
+            self.rules.add_rule(new_sig, idx)
+            return (), (k, idx)
+        self.it_stats.zero_reductions += 1
+        self.emit("Reduction to zero!")
+        return (), ()
 
-    def find_reductor(self, k: int, prev: PrevBasis, curr, done):
+    def find_reductor(self, k: int, head: int, prev: PrevBasis, curr, done):
         """First candidate (insertion order) passing the three safety tests.
 
-        curr and done hold nonzero entries of this iteration only.  The
-        payload of k is a normal form against prev.reducers, whose heads span
-        the head ideal of the previous basis (raw, interreduced or reduced
-        alike), so no head of the previous basis divides its head.
+        head keys the head of k's in-flight payload, which the store does not
+        hold during a chain of safe steps.  curr and done hold nonzero entries
+        of this iteration only.  That payload is a normal form against
+        prev.reducers, whose heads span the head ideal of the previous basis
+        (raw, interreduced or reduced alike), so no head of it divides head.
         """
         ring = self.ring
         heads, words, sigs = self.store.heads, self.store.words, self.store.sigs
         is_rewritable = self.rules.is_rewritable
         is_top_reducible = prev.reducers.is_top_reducible
-        t_key, sig_k, mask, g = heads[k], sigs[k], ring.sig_mask, ring.guard
-        target = words[k] | g
+        sig_k, mask, g = sigs[k], ring.sig_mask, ring.guard
+        target = ring.word(head) | g
         for j in chain(curr, done):
             if (target - words[j]) & g != g:
                 continue
-            u_key = ring.key_div(t_key, heads[j])
+            u_key = ring.key_div(head, heads[j])
             new_sig = ring.key_mul(u_key, sigs[j])
             if (
                 new_sig != sig_k

@@ -103,8 +103,39 @@ MUTANTS = (
     Mutant(
         "safe-step-flipped",
         "engine.py",
-        "        if new_sig < store.sigs[k]:\n",
-        "        if new_sig > store.sigs[k]:\n",
+        "            safe = new_sig < sig_k\n",
+        "            safe = new_sig > sig_k\n",
+        CRITERIA_TESTS,
+    ),
+    # -- the chain of safe steps in F5Engine.top_reduction, and the check
+    #    that certifies what it stores
+    Mutant(
+        "chain-stale-cofactor",
+        "engine.py",
+        "p_cof = cofactors_sub(ring, cof, red.cofactors, u_key, c)",
+        "p_cof = cofactors_sub(ring, entry.cofactors, red.cofactors, u_key, c)",
+        CRITERIA_TESTS,
+    ),
+    Mutant(
+        "chain-unscaled-store",
+        "engine.py",
+        "                h, cof = h.scale(inv), cofactors_scale(cof, inv)\n"
+        "                store.set_poly(k, h, cof)\n",
+        "                store.set_poly(k, h, cof)\n",
+        CRITERIA_TESTS,
+    ),
+    Mutant(
+        "chain-unscaled-zero-cofactors",
+        "engine.py",
+        "store.set_poly(k, p, cofactors_scale(p_cof, inv))",
+        "store.set_poly(k, p, p_cof)",
+        CRITERIA_TESTS,
+    ),
+    Mutant(
+        "admissible-heads-only",
+        "sigcore.py",
+        "    return sum_products(ring, zip(cof, system)) == entry.poly\n",
+        "    return True\n",
         CRITERIA_TESTS,
     ),
     Mutant(

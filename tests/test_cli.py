@@ -303,6 +303,21 @@ def test_skip_rule_rebuild_without_f5c_is_usage_error(argv):
     assert "--skip-rule-rebuild" in err and "f5c" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--system", "katsura", "--n", "2", "--algorithm", "buchberger"],
+        ["run", "--input", "unread.ideal", "--algorithm", "buchberger"],
+    ],
+)
+def test_certified_buchberger_is_usage_error(argv):
+    # the oracle carries no cofactors, so nothing could certify its basis
+    code, out, err = run(argv + ["--certified"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--certified" in err
+
+
 def test_bench_all_writes_three_records(tmp_path):
     stats_path = tmp_path / "out.json"
     code, out, _ = run(

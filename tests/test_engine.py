@@ -6,9 +6,9 @@ three-generator ideal; each intermediate matches the published run.
 
 import pytest
 
-from f5gb.algebra import PolynomialRing
+from f5gb.algebra import PolynomialRing, reduce_payload
 from f5gb.engine import F5Engine, IterationStats, PrevBasis, RunStats
-from f5gb.sigcore import Signature
+from f5gb.sigcore import Signature, cofactors_scale, cofactors_sub
 from tests.conftest import poly, polys
 
 
@@ -220,7 +220,8 @@ def test_top_reduction_safe_branch_rewrites_in_place():
     engine.rules.ensure_index(2)
     prev = PrevBasis(ring, [])
     completed, redo = engine.top_reduction(k, prev, [j], [])
-    assert completed == () and redo == (k,)
+    # the safe step's result y^2 has no reductor, so the chain ends there
+    assert completed == (k,) and redo == ()
     assert engine.store.poly(k) == poly(ring, "y^2")
     assert engine.store.sig(k) == Signature(ring, (1, 0), 2)
 
@@ -233,7 +234,7 @@ def test_find_reductor_rejects_equal_signature():
     j = engine.store.append(Signature(ring, (0, 1), 2).packed, poly(ring, "x^2"))
     k = engine.store.append(Signature(ring, (0, 1), 2).packed, poly(ring, "x^2 + y^2"))
     prev = PrevBasis(ring, [])
-    assert engine.find_reductor(k, prev, [j], []) is None
+    assert engine.find_reductor(k, engine.store.heads[k], prev, [j], []) is None
 
 
 def test_find_reductor_rejects_criterion_blocked_candidate(xyzt, appendix_system):
@@ -346,32 +347,46 @@ def _is_normal_form(reducers, f):
 
 @pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
 def test_stored_payloads_are_normal_forms(certified, monkeypatch):
-    # top_reduction stores a normal form against the previous basis in both
-    # branches, and every survivor of reduction is one
+    # every payload reduction stores, through set_poly or append, is a normal
+    # form against the previous basis: the first normal forms of the
+    # S-polynomials, the end of each chain of safe steps, a payload stored
+    # before an unsafe split and the entry the split creates; and every
+    # survivor of reduction is one
     from f5gb.bench import cyclic, katsura
     from f5gb.drivers import VARIANTS, VariantConfig, run_variant
+    from f5gb.sigcore import PolyStore
 
-    orig_top, orig_reduction = F5Engine.top_reduction, F5Engine.reduction
-    checked = {"safe": 0, "unsafe": 0, "survivor": 0}
+    orig_reduction = F5Engine.reduction
+    orig_set, orig_append = PolyStore.set_poly, PolyStore.append
+    reducing = []  # the previous basis of the open reduction call
+    checked = {"set_poly": 0, "append": 0, "survivor": 0}
 
-    def top_reduction(self, k, prev, curr, done):
-        completed, redo = orig_top(self, k, prev, curr, done)
-        if redo:
-            # safe: (k,) rewritten in place; unsafe: (k, new entry)
-            branch = "safe" if len(redo) == 1 else "unsafe"
-            stored = redo[-1]
-            assert _is_normal_form(prev.reducers, self.store.poly(stored)), (branch, stored)
-            checked[branch] += 1
-        return completed, redo
+    def check(kind, poly):
+        if reducing:
+            assert _is_normal_form(reducing[-1].reducers, poly), kind
+            checked[kind] += 1
+
+    def set_poly(self, k, poly, cofactors=None):
+        check("set_poly", poly)
+        orig_set(self, k, poly, cofactors)
+
+    def append(self, sig, poly, cofactors=None):
+        check("append", poly)
+        return orig_append(self, sig, poly, cofactors)
 
     def reduction(self, todo, prev, curr):
-        done = orig_reduction(self, todo, prev, curr)
+        reducing.append(prev)
+        try:
+            done = orig_reduction(self, todo, prev, curr)
+        finally:
+            reducing.pop()
         for k in done:
             assert _is_normal_form(prev.reducers, self.store.poly(k)), k
             checked["survivor"] += 1
         return done
 
-    monkeypatch.setattr(F5Engine, "top_reduction", top_reduction)
+    monkeypatch.setattr(PolyStore, "set_poly", set_poly)
+    monkeypatch.setattr(PolyStore, "append", append)
     monkeypatch.setattr(F5Engine, "reduction", reduction)
     # the deglex system drives the unsafe branch (see the organic test above)
     for F in (katsura(4, 101), cyclic(5, 101), unsafe_system()):
@@ -384,12 +399,12 @@ def test_stored_payloads_are_normal_forms(certified, monkeypatch):
 def test_find_reductor_scans_only_the_current_iteration(certified, monkeypatch):
     # incremental_basis hands find_reductor only this iteration's elements:
     # the new input, then the survivors of each earlier degree.  At every
-    # call no head of the previous basis divides the payload's head (each
-    # payload is a normal form against it, and the raw, interreduced and
-    # reduced previous bases share one head ideal), and the answer equals a
-    # reference scan over chain(prev_indices, fresh, done) in insertion order
-    # with the three safety tests, written on exponent tuples and Signature
-    # objects.  Killed mutants: done dropped from the scan, the previous
+    # call no head of the previous basis divides the in-flight head it is
+    # given (each payload is a normal form against it, and the raw,
+    # interreduced and reduced previous bases share one head ideal), and the
+    # answer equals a reference scan over chain(prev_indices, fresh, done) in
+    # insertion order with the three safety tests, written on exponent tuples
+    # and Signature objects.  Killed mutants: done dropped from the scan, the previous
     # basis scanned again, the new input left out, the rewritten or the
     # previous-basis test dropped.  Reordering the scan survives: on every
     # system tried (these, katsura-5/6, cyclic-6 and 3,000 random ones) no
@@ -417,10 +432,10 @@ def test_find_reductor_scans_only_the_current_iteration(certified, monkeypatch):
         frames[-1][1].extend(sorted(done))
         return done
 
-    def reference(engine, k, prev, done):
+    def reference(engine, k, head, prev, done):
         prev_indices, fresh = frames[-1]
         store = engine.store
-        t = store.poly(k).lt()
+        t = engine.ring.exps(head)
         for j in chain(prev_indices, fresh, done):
             if not monomial_divides(store.poly(j).lt(), t):
                 continue
@@ -438,14 +453,14 @@ def test_find_reductor_scans_only_the_current_iteration(certified, monkeypatch):
                 return j
         return None
 
-    def find_reductor(self, k, prev, curr, done):
+    def find_reductor(self, k, head, prev, curr, done):
         prev_indices, fresh = frames[-1]
         assert list(curr) == fresh, (curr, fresh)
-        head = self.store.poly(k).lt()
+        t = self.ring.exps(head)
         for j in prev_indices:
-            assert not monomial_divides(self.store.poly(j).lt(), head), (k, j)
-        expected = reference(self, k, prev, done)
-        got = orig_find(self, k, prev, curr, done)
+            assert not monomial_divides(self.store.poly(j).lt(), t), (k, j)
+        expected = reference(self, k, head, prev, done)
+        got = orig_find(self, k, head, prev, curr, done)
         assert got == expected, (k, got, expected)
         checked["none" if got is None else "done" if got in done else "fresh"] += 1
         return got
@@ -457,3 +472,119 @@ def test_find_reductor_scans_only_the_current_iteration(certified, monkeypatch):
         for variant in VARIANTS:
             run_variant(F, VariantConfig(variant, certified=certified))
     assert all(checked.values()), checked
+
+
+def per_step_top_reduction(self, k, prev, curr, done):
+    """Reference for F5Engine.top_reduction: one step per call, as in F5.
+
+    A zero payload counts as a reduction to zero.  With no reductor the
+    payload is stored monic and k completes.  Otherwise one step
+    h + NF(-c*u*r) is made monic; a safe step stores it in place and
+    requeues k (((), (k,))), an unsafe one appends it under the larger
+    signature (((), (k, idx))).  top_reduction must store what this loop
+    stores, though it takes a whole chain of safe steps per call.
+    """
+    ring = self.ring
+    store = self.store
+    entry = store.entries[k]
+    if entry.poly.is_zero():
+        self.it_stats.zero_reductions += 1
+        self.emit("Reduction to zero!")
+        return (), ()
+    j = self.find_reductor(k, store.heads[k], prev, curr, done)
+    if j is None:
+        if entry.poly.lc() != 1:
+            inv = ring.field.inv(entry.poly.lc())
+            store.set_poly(k, entry.poly.scale(inv), cofactors_scale(entry.cofactors, inv))
+        return (k,), ()
+    red = store.entries[j]
+    u_key = ring.key_div(store.heads[k], store.heads[j])
+    c = ring.field.div(entry.poly.lc(), red.poly.lc())
+    multiple = red.poly.term_mul_key(u_key, ring.p - c)  # -c*u*r
+    cof = cofactors_sub(ring, entry.cofactors, red.cofactors, u_key, c)
+    nf, cof = reduce_payload(prev.reducers, multiple, cof, prev.cofactors, self.it_stats)
+    p = entry.poly + nf
+    self.it_stats.reduction_steps += 1
+    if p:
+        inv = ring.field.inv(p.lc())
+        if inv != 1:
+            p = p.scale(inv)
+            cof = cofactors_scale(cof, inv)
+    new_sig = ring.key_mul(u_key, store.sigs[j])
+    if new_sig < store.sigs[k]:
+        store.set_poly(k, p, cof)
+        return (), (k,)
+    idx = store.append(new_sig, p, cof)
+    self.rules.add_rule(new_sig, idx)
+    return (), (k, idx)
+
+
+def _store_state(store):
+    """(signature, payload terms, cofactor terms) of every store entry."""
+    return [
+        (e.sig, e.poly.terms, None if e.cofactors is None else [h.terms for h in e.cofactors])
+        for e in store.entries[1:]
+    ]
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
+def test_chained_top_reduction_matches_the_per_step_reference(certified, monkeypatch):
+    # top_reduction takes a whole chain of safe steps per call and stores
+    # once at its end; per_step_top_reduction stores after every step and
+    # sends k back through the signature heap.  Both must leave the same
+    # store entries (signature, payload and cofactor vector) at each f5c
+    # rebuild and at the end, the same RunStats and the same trace.  Their
+    # store writes must agree once each run of writes to one entry is cut
+    # to its last: this pins what a chain stores before an unsafe split and
+    # for a zero result, which later writes would overwrite.
+    from f5gb import drivers
+    from f5gb.bench import cyclic, katsura
+    from f5gb.sigcore import PolyStore
+
+    engines, states, writes = [], [], []
+    orig_setup, orig_set = drivers.setup_reduced_basis, PolyStore.set_poly
+
+    class RecordingEngine(F5Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    def setup_reduced_basis(engine, curr, skip_rule_rebuild=False):
+        states.append(_store_state(engine.store))
+        return orig_setup(engine, curr, skip_rule_rebuild)
+
+    def set_poly(self, k, poly, cofactors=None):
+        if writes and writes[-1][0] == k:
+            writes.pop()
+        writes.append((k, poly.terms, None if cofactors is None else [h.terms for h in cofactors]))
+        orig_set(self, k, poly, cofactors)
+
+    branches = {"safe": 0, "unsafe": 0}
+
+    def reference(self, k, prev, curr, done):
+        completed, redo = per_step_top_reduction(self, k, prev, curr, done)
+        if redo:
+            branches["safe" if len(redo) == 1 else "unsafe"] += 1
+        return completed, redo
+
+    def run(F, variant):
+        for log in (engines, states, writes):
+            log.clear()
+        lines = []
+        config = drivers.VariantConfig(variant, certified=certified)
+        result = drivers.run_variant(F, config, trace=lines.append)
+        states.append(_store_state(engines[0].store))
+        return [g.terms for g in result.basis], result.stats.to_dict(), lines, states[:], writes[:]
+
+    monkeypatch.setattr(drivers, "F5Engine", RecordingEngine)
+    monkeypatch.setattr(drivers, "setup_reduced_basis", setup_reduced_basis)
+    monkeypatch.setattr(PolyStore, "set_poly", set_poly)
+    chained_top = F5Engine.top_reduction
+    for F in (katsura(4, 101), cyclic(5), cyclic(4, 7), unsafe_system()):
+        for variant in drivers.VARIANTS:
+            monkeypatch.setattr(F5Engine, "top_reduction", chained_top)
+            chained = run(F, variant)
+            monkeypatch.setattr(F5Engine, "top_reduction", reference)
+            stepped = run(F, variant)
+            assert chained == stepped, (F, variant)
+    assert all(branches.values()), branches
