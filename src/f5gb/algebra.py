@@ -723,26 +723,128 @@ class ReducerSet:
             stats.reduction_steps += steps
         return Polynomial(ring, tuple(out))
 
+    def fold_normal_form(self, payload: WorkingPayload, off: int, mfac: int, terms,
+                         stats=None, quotients=None):
+        """Add NF(mfac * x^off * sum(terms)) to payload, whose keys are all irreducible.
 
-def reduce_payload(reducers, poly: Polynomial, cofs, basis_cofs, stats):
-    """(h, cofs - sum_j q_j * basis_cofs[j]) for h = reducers.reduce_full(poly).
+        The second loop next to reduce_full, for top reduction: payload
+        holds a normal form, so the sum is one too.  Each key is routed
+        when it is added: a payload key is irreducible and a key pending in
+        this call reducible, so neither is looked up; a new key is looked up
+        once and goes to the payload or onto the pending heap.  Pending keys
+        are eliminated in descending order with delayed reduction, as in
+        reduce_full, and so are the eliminations, their order, the quotient
+        maps (accumulated into quotients) and the steps counted on stats.
+        The monomial enters as off = key - ring.unit_key for its key.
+        """
+        p = self.ring.p
+        cache, find = self._cache, self.find_divisor
+        coeffs, heap = payload.coeffs, payload.heap
+        get = coeffs.get
+        pending: dict[int, int] = {}
+        pheap: list[int] = []
+        pop, push = _heappop, _heappush
+        steps = 0
+        while True:
+            for tk, tc in terms:
+                nk = off + tk
+                prev = get(nk)
+                if prev is not None:
+                    coeffs[nk] = prev + mfac * tc
+                    continue
+                prev = pending.get(nk)
+                if prev is not None:
+                    pending[nk] = prev + mfac * tc
+                    continue
+                cand = cache.get(nk, 0)
+                if cand == 0:
+                    cand = find(nk)
+                if cand is None:
+                    coeffs[nk] = mfac * tc
+                    push(heap, -nk)
+                else:
+                    pending[nk] = mfac * tc
+                    push(pheap, -nk)
+            while pheap:
+                key = -pop(pheap)
+                c = pending.pop(key) % p
+                if c:
+                    break
+            else:
+                break
+            gk, _, inv_lc, pos, terms = cache[key]
+            steps += 1
+            fac = (c * inv_lc) % p
+            if quotients is not None:
+                qk = self.ring.key_div(key, gk)
+                qmap = quotients[pos]
+                qmap[qk] = (qmap.get(qk, 0) + fac) % p
+            mfac = p - fac
+            off = key - gk
+        if stats is not None:
+            stats.reduction_steps += steps
 
-    The q_j are the quotients reduce_full records against reducers.polys,
-    whose cofactor vectors basis_cofs lists in the same order (another
-    length raises ValueError).  Each updated cofactor
-    cofs[m] - sum_j q_j * basis_cofs[j][m] is one sum_products call over the
-    pairs (-q_j, basis_cofs[j][m]) and (cofs[m], 1); cofs None passes through.
+
+class WorkingPayload:
+    """A polynomial in flight: raw coefficients by key plus a max-heap of keys.
+
+    Top reduction keeps a payload here for a whole chain of steps, and
+    ReducerSet.fold_normal_form adds each step's normal form into it.  A
+    coefficient is reduced mod p when its key is read as the head, and the
+    key is dropped there if it sums to 0; until then a key that sums to 0
+    stays in coeffs and on the heap, and later folds add to it.
+    """
+
+    __slots__ = ("ring", "coeffs", "heap")
+
+    def __init__(self, poly: Polynomial):
+        self.ring = poly.ring
+        self.coeffs = dict(poly.terms)
+        # the terms descend, so their negated keys ascend: already a heap
+        self.heap = [-k for k, _ in poly.terms]
+
+    def head(self):
+        """(key, coefficient) of the leading term, or None for zero."""
+        p, coeffs, heap = self.ring.p, self.coeffs, self.heap
+        while heap:
+            key = -heap[0]
+            c = coeffs[key] % p
+            if c:
+                coeffs[key] = c
+                return key, c
+            del coeffs[key]
+            _heappop(heap)
+        return None
+
+    def drop_head(self):
+        """Remove the leading term, which a top-reduction step cancels."""
+        del self.coeffs[-_heappop(self.heap)]
+
+    def poly(self, scale: int = 1) -> Polynomial:
+        """The payload times the field element scale, as one sorted Polynomial."""
+        p = self.ring.p
+        terms = [(k, r) for k, c in self.coeffs.items() if (r := c * scale % p)]
+        terms.sort(reverse=True)
+        return Polynomial(self.ring, tuple(terms))
+
+
+def subtract_quotients(ring: PolynomialRing, cofs, quotients, basis_cofs):
+    """cofs - sum_j q_j * basis_cofs[j] for quotient maps q_j ({key: coeff}).
+
+    basis_cofs lists one cofactor vector per quotient map (another length
+    raises ValueError).  Each updated cofactor cofs[m] - sum_j q_j *
+    basis_cofs[j][m] is one sum_products call over the pairs (-q_j,
+    basis_cofs[j][m]) and (cofs[m], 1); cofs None passes through.
     """
     if cofs is None:
-        return reducers.reduce_full(poly, stats=stats), None
-    ring = reducers.ring
-    quotients = [dict() for _ in reducers.polys]
-    h = reducers.reduce_full(poly, stats=stats, quotients=quotients)
+        return None
     pairs = [[] for _ in cofs]
     for qmap, bcofs in zip(quotients, basis_cofs, strict=True):
-        if not qmap:
+        # a chain that eliminates one key twice may sum its quotient to 0
+        terms = sorted(((k, c) for k, c in qmap.items() if c), reverse=True)
+        if not terms:
             continue
-        neg_q = -Polynomial(ring, tuple(sorted(qmap.items(), reverse=True)))
+        neg_q = -Polynomial(ring, tuple(terms))
         for m, c in enumerate(bcofs):
             if c:
                 pairs[m].append((neg_q, c))
@@ -751,7 +853,21 @@ def reduce_payload(reducers, poly: Polynomial, cofs, basis_cofs, stats):
         if ps:
             ps.append((cofs[m], ring.one))
             out[m] = sum_products(ring, ps)
-    return h, out
+    return out
+
+
+def reduce_payload(reducers, poly: Polynomial, cofs, basis_cofs, stats):
+    """(h, cofs - sum_j q_j * basis_cofs[j]) for h = reducers.reduce_full(poly).
+
+    The q_j are the quotients reduce_full records against reducers.polys,
+    whose cofactor vectors basis_cofs lists in the same order (see
+    subtract_quotients); cofs None passes through.
+    """
+    if cofs is None:
+        return reducers.reduce_full(poly, stats=stats), None
+    quotients = [dict() for _ in reducers.polys]
+    h = reducers.reduce_full(poly, stats=stats, quotients=quotients)
+    return h, subtract_quotients(reducers.ring, cofs, quotients, basis_cofs)
 
 
 def normal_form(p: Polynomial, G, stats=None) -> Polynomial:

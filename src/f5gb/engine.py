@@ -16,13 +16,18 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
-from .algebra import PolynomialRing, ReducerSet, reduce_payload
+from .algebra import PolynomialRing, ReducerSet, WorkingPayload, reduce_payload, subtract_quotients
 from .sigcore import PolyStore, RuleTable, cofactors_scale, cofactors_sub
 
 
 @dataclass
 class IterationStats:
-    """Counters for one incremental iteration."""
+    """Counters for one incremental iteration.
+
+    chains counts top_reduction calls: each takes one entry through its
+    chain of safe_steps, which ends with no reductor, at zero, or at one of
+    the unsafe_splits.
+    """
 
     i: int
     basis_size: int = 0
@@ -30,6 +35,9 @@ class IterationStats:
     spolys: int = 0
     reduction_steps: int = 0
     zero_reductions: int = 0
+    safe_steps: int = 0
+    unsafe_splits: int = 0
+    chains: int = 0
 
     def to_dict(self):
         return {
@@ -39,6 +47,9 @@ class IterationStats:
             "spolys": self.spolys,
             "reduction_steps": self.reduction_steps,
             "zero_reductions": self.zero_reductions,
+            "safe_steps": self.safe_steps,
+            "unsafe_splits": self.unsafe_splits,
+            "chains": self.chains,
         }
 
 
@@ -228,10 +239,12 @@ class F5Engine:
     def reduction(self, todo, prev: PrevBasis, curr) -> list:
         """Reduce queued S-polynomials; returns survivors in completion order.
 
-        Each S-polynomial is first normal-formed against the previous basis.
-        Every payload the loop meets is then a normal form, so each pop
-        takes the minimal remaining signature and runs its whole chain of
-        safe top-reduction steps via top_reduction.  The heap holds the
+        Each S-polynomial is first normal-formed against the previous basis
+        (reduce_payload, the one reduce_full call per S-polynomial).  Every
+        payload the loop meets is then a normal form, so each pop takes the
+        minimal remaining signature and runs its whole chain of safe
+        top-reduction steps via top_reduction, which folds each step's
+        normal form into one working payload.  The heap holds the
         S-polynomials and the two entries of each unsafe split: a safe step
         would requeue the minimum under its unchanged (signature, index)
         pair, which the next pop would take again.
@@ -261,51 +274,89 @@ class F5Engine:
         Returns (completed, redo): ((k,), ()) once no reductor is left, with
         k stored monic; ((), ()) for a reduction to zero; ((), (k, idx)) at an
         unsafe step, whose monic result is the new entry idx with the larger
-        signature.  Between safe steps (u*sig(r) < sig(k)) the payload h and
-        its cofactors stay local and unscaled: a step adds NF(-c*u*r), as h
-        is a normal form and normal forms are linear, so h is lam times what
-        a loop storing each step monic would hold (lam = lc(h) after a step,
-        1 before).  The store before an unsafe split and a zero result's
-        cofactors are scaled by 1/lam, so every stored payload is the same.
+        signature.  The chain keeps k's payload in one WorkingPayload: a step
+        h -> h - c*u*r drops h's head and folds NF(-c*u*tail(r)) into it
+        (h is a normal form and normal forms are linear), so no step builds
+        a polynomial.  Polynomials are built, with one sort each, only where
+        the store takes one: at the end of the chain, before an unsafe split
+        and for the split's new entry.  The payload is not made monic between
+        steps, so it holds lam times what a loop storing each step monic
+        would hold (lam = lc(h) once a step is taken, 1 before); the store
+        before an unsafe split and a zero result's cofactors are scaled by
+        1/lam, so every stored payload is the same.  Cofactors are updated
+        once per stored payload: the chain accumulates its quotient maps
+        against the previous basis and its multiples c*u of each reductor r
+        and subtracts them from k's vector with subtract_quotients.
         """
         ring, store, field = self.ring, self.store, self.ring.field
+        stats = self.it_stats
+        stats.chains += 1
         entry = store.entries[k]
-        h, cof, sig_k = entry.poly, entry.cofactors, store.sigs[k]
+        sig_k, cof = store.sigs[k], entry.cofactors
+        if not entry.poly:
+            return self._zero_result()
+        reducers = prev.reducers
+        quotients = None if cof is None else [{} for _ in reducers.polys]
+        multiples: dict = {}  # reductor j -> {u key: c}: the chain subtracts c*u*r_j
+
+        def chain_cofactors(inv):  # inv * (k's vector - the chain's subtractions)
+            if cof is None:
+                return None
+            vec = subtract_quotients(
+                ring,
+                cof,
+                quotients + list(multiples.values()),
+                prev.cofactors + [store.entries[j].cofactors for j in multiples],
+            )
+            return cofactors_scale(vec, inv)
+
+        h = WorkingPayload(entry.poly)
+        head, lc = h.head()
         stepped = False
-        while h:
-            head = h.terms[0][0]
+        while True:
             j = self.find_reductor(k, head, prev, curr, done)
             if j is None:
-                inv = field.inv(h.lc())
+                inv = field.inv(lc)
                 if stepped or inv != 1:
-                    store.set_poly(k, h.scale(inv), cofactors_scale(cof, inv))
+                    store.set_poly(k, h.poly(inv), chain_cofactors(inv))
                 return (k,), ()
             red = store.entries[j]
             u_key = ring.key_div(head, store.heads[j])
             new_sig = ring.key_mul(u_key, store.sigs[j])
             safe = new_sig < sig_k
             if not safe and stepped:  # k as a step-by-step loop stored it
-                inv = field.inv(h.lc())
-                h, cof = h.scale(inv), cofactors_scale(cof, inv)
-                store.set_poly(k, h, cof)
-            c = field.div(h.lc(), red.poly.lc())
-            multiple = red.poly.term_mul_key(u_key, ring.p - c)  # -c*u*r
-            p_cof = cofactors_sub(ring, cof, red.cofactors, u_key, c)
-            nf, p_cof = reduce_payload(prev.reducers, multiple, p_cof, prev.cofactors, self.it_stats)
-            p = h + nf
-            self.it_stats.reduction_steps += 1
-            if safe:
-                if not p:
-                    inv = field.inv(h.lc()) if stepped else 1
-                    store.set_poly(k, p, cofactors_scale(p_cof, inv))
-                h, cof, stepped = p, p_cof, True
+                inv = field.inv(lc)
+                store.set_poly(k, h.poly(inv), chain_cofactors(inv))
+            rterms = red.poly.terms
+            if not ring._graded:  # lex: the tail may outgrow the head's degree
+                ring.check_degree(red.poly.degree() + ring.key_degree(u_key))
+            c = field.div(lc, rterms[0][1])
+            if cof is not None:  # heads descend, so u is new for j
+                multiples.setdefault(j, {})[u_key] = c
+            h.drop_head()
+            reducers.fold_normal_form(
+                h, u_key - ring.unit_key, ring.p - c, rterms[1:], stats, quotients
+            )
+            stats.reduction_steps += 1
+            top = h.head()
+            if safe and top is not None:
+                stats.safe_steps += 1
+                (head, lc), stepped = top, True
                 continue
-            if p and p.lc() != 1:
-                inv = field.inv(p.lc())
-                p, p_cof = p.scale(inv), cofactors_scale(p_cof, inv)
-            idx = store.append(new_sig, p, p_cof)
+            # a split's new entry is made monic; a zero result's cofactors
+            # are scaled by 1/lam
+            inv = field.inv(top[1]) if top is not None else field.inv(lc) if stepped else 1
+            p_cof = chain_cofactors(inv)
+            if safe:
+                stats.safe_steps += 1
+                store.set_poly(k, ring.zero, p_cof)
+                return self._zero_result()
+            stats.unsafe_splits += 1
+            idx = store.append(new_sig, h.poly(inv), p_cof)
             self.rules.add_rule(new_sig, idx)
             return (), (k, idx)
+
+    def _zero_result(self):
         self.it_stats.zero_reductions += 1
         self.emit("Reduction to zero!")
         return (), ()

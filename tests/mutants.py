@@ -51,6 +51,12 @@ COFACTOR_TESTS = (
     "tests/test_algebra.py::test_reduce_payload_rejects_a_basis_missing_a_cofactor_vector",
     "tests/test_sympy_differential.py::test_certificates_hold_in_sympy",
 )
+KERNEL_TESTS = (  # the property test last: shrinking a failure takes seconds
+    "tests/test_algebra.py::test_fold_normal_form_fixed_cases",
+    "tests/test_algebra.py::test_working_payload_reads_and_drops_its_head",
+    "tests/test_engine.py",
+    "tests/test_algebra.py::test_fold_normal_form_matches_reduce_full",
+)
 CRITERIA_TESTS = (
     "tests/test_acceptance.py::test_criterion_2_trace_fidelity",
     "tests/test_engine.py",
@@ -110,26 +116,61 @@ MUTANTS = (
     # -- the chain of safe steps in F5Engine.top_reduction, and the check
     #    that certifies what it stores
     Mutant(
+        # a safe step's cofactor update forgets the chain's earlier steps
         "chain-stale-cofactor",
         "engine.py",
-        "p_cof = cofactors_sub(ring, cof, red.cofactors, u_key, c)",
-        "p_cof = cofactors_sub(ring, entry.cofactors, red.cofactors, u_key, c)",
+        "multiples.setdefault(j, {})[u_key] = c",
+        "multiples = {j: {u_key: c}}",
         CRITERIA_TESTS,
     ),
     Mutant(
         "chain-unscaled-store",
         "engine.py",
-        "                h, cof = h.scale(inv), cofactors_scale(cof, inv)\n"
-        "                store.set_poly(k, h, cof)\n",
-        "                store.set_poly(k, h, cof)\n",
+        "            if not safe and stepped:  # k as a step-by-step loop stored it\n"
+        "                inv = field.inv(lc)\n",
+        "            if not safe and stepped:  # k as a step-by-step loop stored it\n"
+        "                inv = 1\n",
         CRITERIA_TESTS,
     ),
     Mutant(
         "chain-unscaled-zero-cofactors",
         "engine.py",
-        "store.set_poly(k, p, cofactors_scale(p_cof, inv))",
-        "store.set_poly(k, p, p_cof)",
+        "else field.inv(lc) if stepped else 1",
+        "else 1",
         CRITERIA_TESTS,
+    ),
+    # -- the chain's working payload (algebra.ReducerSet.fold_normal_form
+    #    and algebra.WorkingPayload)
+    Mutant(
+        "fold-shared-pending-heap",
+        "algebra.py",
+        "        pending: dict[int, int] = {}\n        pheap: list[int] = []\n",
+        "        pending, pheap = globals().setdefault(\"_shared_pending\", ({}, []))\n",
+        KERNEL_TESTS,
+        equivalent="each call pops its pending heap, and the key of each pop from"
+        " pending, until both are empty, so a shared heap is empty whenever a"
+        " step starts",
+    ),
+    Mutant(
+        "head-read-without-mod-p",
+        "algebra.py",
+        "            c = coeffs[key] % p\n",
+        "            c = coeffs[key]\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "irreducible-key-pending",
+        "algebra.py",
+        "                if cand is None:\n                    coeffs[nk] = mfac * tc\n",
+        "                if False:\n                    coeffs[nk] = mfac * tc\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "cancelled-head-left",
+        "algebra.py",
+        "        del self.coeffs[-_heappop(self.heap)]\n",
+        "        _heappop(self.heap)\n",
+        KERNEL_TESTS,
     ),
     Mutant(
         "admissible-heads-only",

@@ -17,6 +17,7 @@ from f5gb.algebra import (
     PrimeField,
     ReducerSet,
     TermOrder,
+    WorkingPayload,
     ZeroPolynomialError,
     homogenize,
     interreduce,
@@ -800,8 +801,13 @@ def test_reduce_full_fixed_cases_match_eager_reference(name, prefer):
 @pytest.mark.parametrize("F", [katsura(4), cyclic(5)], ids=["katsura-4", "cyclic-5"])
 def test_engine_runs_look_up_the_same_keys_as_the_eager_kernel(F, monkeypatch):
     """perfbench counts eliminations, term operations and its units by
-    wrapping find_divisor; pin that every reduction of real runs, plain and
-    certified, looks up the reference kernel's keys in its order."""
+    wrapping find_divisor; pin that every reduce_full call of real runs,
+    plain and certified, looks up the reference kernel's keys in its order.
+    These calls are the first normal forms of the S-polynomials, F5R's and
+    F5C's interreductions, the oracle and the verification.  Top-reduction
+    steps do not call reduce_full: they fold their normal forms into the
+    chain's payload (ReducerSet.fold_normal_form, tested against
+    reduce_full below)."""
     kernel, find = ReducerSet.reduce_full, ReducerSet.find_divisor
     open_logs = []  # the key log of each reduction in progress
     compared = []
@@ -837,6 +843,110 @@ def test_engine_runs_look_up_the_same_keys_as_the_eager_kernel(F, monkeypatch):
         for variant in VARIANTS:
             run_variant(F, VariantConfig(variant, certified=certified))
     assert len(compared) > 100 and sum(compared) > 1000
+
+
+class _LoggedQuotients(dict):
+    """A quotient map that logs (reducer position, quotient key) per write,
+    so the log lists the eliminations in the order a kernel made them."""
+
+    def __init__(self, pos, log):
+        super().__init__()
+        self.pos, self.log = pos, log
+
+    def __setitem__(self, key, value):
+        self.log.append((self.pos, key))
+        super().__setitem__(key, value)
+
+
+def _fold_and_reference(ring, G, f, folds, prefer=1):
+    """Fold each (u, c, r) of folds into the normal form of f, once with
+    fold_normal_form and once as h + reduce_full(c*u*r); assert that both
+    give the same terms, steps, quotient maps and elimination order after
+    every fold, and return the folded payload's terms."""
+    rs = ReducerSet(ring, G, prefer=prefer)
+    h = rs.reduce_full(f)
+    payload = WorkingPayload(h)
+    runs = []
+    for _ in range(2):
+        log = []
+        runs.append((_Steps(), [_LoggedQuotients(pos, log) for pos in range(len(rs.polys))], log))
+    (got_stats, got_q, got_log), (want_stats, want_q, want_log) = runs
+    for u, c, r in folds:
+        u_key = ring.key(u)
+        rs.fold_normal_form(payload, u_key - ring.unit_key, c, r.terms, got_stats, got_q)
+        h = h + rs.reduce_full(r.term_mul_key(u_key, c), stats=want_stats, quotients=want_q)
+        got = payload.poly()
+        assert got.terms == h.terms
+        assert payload.head() == (h.terms[0] if h else None)
+        assert got_stats.reduction_steps == want_stats.reduction_steps
+        assert got_q == want_q and got_log == want_log
+    return payload.poly()
+
+
+@st.composite
+def fold_cases(draw):
+    """(ring, G, f, folds): reduction_cases' rings and reducers, and up to
+    three multiples c*u*r to fold into the normal form of f."""
+    ring, G, f, prefer = draw(reduction_cases())
+    p, n = ring.p, ring.n
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.one_of(st.just(p - 1), st.integers(1, p - 1), st.just(1))
+    poly = st.lists(st.tuples(exps, coeff), max_size=8).map(ring.from_terms)
+    folds = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * n), coeff, poly), min_size=1, max_size=3))
+    return ring, G, f, folds, prefer
+
+
+@given(fold_cases())
+@settings(max_examples=200)
+def test_fold_normal_form_matches_reduce_full(case):
+    _fold_and_reference(*case)
+
+
+def test_fold_normal_form_fixed_cases():
+    small = PolynomialRing(7, ("x", "y", "z", "w"))
+    G = [P(small, (1, (2, 0, 0, 0)), (6, (0, 0, 0, 2)))]  # x^2 - w^2
+    one = (0, 0, 0, 0)
+    y2, z2, w2 = (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)
+    # z^2 cancels to 0 below the head and comes back; then the head y^2
+    # cancels, is dropped when read, and comes back in a later fold
+    f = P(small, (1, y2), (1, z2), (1, w2))
+    folds = [
+        (one, 6, P(small, (1, z2))),
+        (one, 2, P(small, (1, z2))),
+        (one, 6, P(small, (1, y2))),
+        (one, 3, P(small, (1, y2))),
+    ]
+    assert _fold_and_reference(small, G, f, folds) == P(small, (3, y2), (2, z2), (1, w2))
+    # x^2 - x*y, a reducer itself: eliminating x^2 adds 6 * 6 = 1 to the
+    # pending x*y, whose 6 then sums to 0 mod 7; then x^2 + y*z, reduced
+    # through x*y to y^2 + y*z
+    x2, xy, yz = (2, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0)
+    G = [P(small, (1, x2), (6, xy)), P(small, (1, xy), (6, y2))]
+    folds = [(one, 1, G[0]), (one, 1, P(small, (1, x2), (1, yz)))]
+    assert _fold_and_reference(small, G, f, folds) == P(small, (2, y2), (1, yz), (1, z2), (1, w2))
+    # a, b, c, d -> z: four eliminations add the raw product (p - 1)**2 to
+    # the payload's z, about 2**64 on top of its own p - 1
+    big = PolynomialRing(2**31 - 1, ("a", "b", "c", "d", "z"))
+    m = 2**31 - 2  # -1
+    units = [tuple(int(i == j) for j in range(5)) for i in range(4)]
+    z = (0, 0, 0, 0, 1)
+    linear = [P(big, (1, e), (m, z)) for e in units]
+    got = _fold_and_reference(big, linear, P(big, (m, z)), [((0,) * 5, m, P(big, *((m, e) for e in units)))])
+    assert got == P(big, (3, z))
+
+
+def test_working_payload_reads_and_drops_its_head():
+    ring = PolynomialRing(7, ("x", "y"))
+    f = P(ring, (3, (2, 0)), (5, (1, 1)), (1, (0, 2)))
+    payload = WorkingPayload(f)
+    assert payload.head() == (f.lt_key(), 3)
+    assert payload.poly(5) == f.scale(5)
+    payload.coeffs[ring.key((1, 1))] += 2  # 5 + 2 = 0 mod 7, read as the head below
+    payload.drop_head()
+    assert payload.head() == (ring.key((0, 2)), 1)
+    assert payload.poly() == P(ring, (1, (0, 2)))
+    payload.drop_head()
+    assert payload.head() is None and payload.poly() == ring.zero
 
 
 def test_reduce_payload_rejects_a_basis_missing_a_cofactor_vector():

@@ -121,5 +121,8 @@ def test_stats_serialization_schema():
             "spolys",
             "reduction_steps",
             "zero_reductions",
+            "safe_steps",
+            "unsafe_splits",
+            "chains",
         }
         assert all(isinstance(k, str) for k in it["pairs_by_degree"])

@@ -482,17 +482,20 @@ def per_step_top_reduction(self, k, prev, curr, done):
     h + NF(-c*u*r) is made monic; a safe step stores it in place and
     requeues k (((), (k,))), an unsafe one appends it under the larger
     signature (((), (k, idx))).  top_reduction must store what this loop
-    stores, though it takes a whole chain of safe steps per call.
+    stores, though it takes a whole chain of safe steps per call.  Every
+    call that does not requeue k alone ends a chain.
     """
     ring = self.ring
     store = self.store
     entry = store.entries[k]
     if entry.poly.is_zero():
+        self.it_stats.chains += 1
         self.it_stats.zero_reductions += 1
         self.emit("Reduction to zero!")
         return (), ()
     j = self.find_reductor(k, store.heads[k], prev, curr, done)
     if j is None:
+        self.it_stats.chains += 1
         if entry.poly.lc() != 1:
             inv = ring.field.inv(entry.poly.lc())
             store.set_poly(k, entry.poly.scale(inv), cofactors_scale(entry.cofactors, inv))
@@ -512,8 +515,11 @@ def per_step_top_reduction(self, k, prev, curr, done):
             cof = cofactors_scale(cof, inv)
     new_sig = ring.key_mul(u_key, store.sigs[j])
     if new_sig < store.sigs[k]:
+        self.it_stats.safe_steps += 1
         store.set_poly(k, p, cof)
         return (), (k,)
+    self.it_stats.chains += 1
+    self.it_stats.unsafe_splits += 1
     idx = store.append(new_sig, p, cof)
     self.rules.add_rule(new_sig, idx)
     return (), (k, idx)
@@ -536,7 +542,10 @@ def test_chained_top_reduction_matches_the_per_step_reference(certified, monkeyp
     # rebuild and at the end, the same RunStats and the same trace.  Their
     # store writes must agree once each run of writes to one entry is cut
     # to its last: this pins what a chain stores before an unsafe split and
-    # for a zero result, which later writes would overwrite.
+    # for a zero result, which later writes would overwrite.  The chain
+    # counters in RunStats (equal in both, as the whole to_dict is) must
+    # also match what an outside observer of top_reduction sees: one chain
+    # per call, and one unsafe split per ((), (k, idx)) return.
     from f5gb import drivers
     from f5gb.bench import cyclic, katsura
     from f5gb.sigcore import PolyStore
@@ -560,6 +569,14 @@ def test_chained_top_reduction_matches_the_per_step_reference(certified, monkeyp
         orig_set(self, k, poly, cofactors)
 
     branches = {"safe": 0, "unsafe": 0}
+    observed = {"calls": 0, "unsafe": 0}
+    orig_top = F5Engine.top_reduction
+
+    def chained_top(self, k, prev, curr, done):
+        completed, redo = orig_top(self, k, prev, curr, done)
+        observed["calls"] += 1
+        observed["unsafe"] += len(redo) == 2
+        return completed, redo
 
     def reference(self, k, prev, curr, done):
         completed, redo = per_step_top_reduction(self, k, prev, curr, done)
@@ -570,20 +587,23 @@ def test_chained_top_reduction_matches_the_per_step_reference(certified, monkeyp
     def run(F, variant):
         for log in (engines, states, writes):
             log.clear()
+        observed.update(calls=0, unsafe=0)
         lines = []
         config = drivers.VariantConfig(variant, certified=certified)
         result = drivers.run_variant(F, config, trace=lines.append)
         states.append(_store_state(engines[0].store))
-        return [g.terms for g in result.basis], result.stats.to_dict(), lines, states[:], writes[:]
+        its = result.stats.iterations
+        counted = {"calls": sum(it.chains for it in its), "unsafe": sum(it.unsafe_splits for it in its)}
+        return [g.terms for g in result.basis], result.stats.to_dict(), lines, states[:], writes[:], counted
 
     monkeypatch.setattr(drivers, "F5Engine", RecordingEngine)
     monkeypatch.setattr(drivers, "setup_reduced_basis", setup_reduced_basis)
     monkeypatch.setattr(PolyStore, "set_poly", set_poly)
-    chained_top = F5Engine.top_reduction
     for F in (katsura(4, 101), cyclic(5), cyclic(4, 7), unsafe_system()):
         for variant in drivers.VARIANTS:
             monkeypatch.setattr(F5Engine, "top_reduction", chained_top)
             chained = run(F, variant)
+            assert chained[-1] == observed, (F, variant)
             monkeypatch.setattr(F5Engine, "top_reduction", reference)
             stepped = run(F, variant)
             assert chained == stepped, (F, variant)
