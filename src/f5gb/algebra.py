@@ -662,87 +662,47 @@ class ReducerSet:
         reducer (aligned with self.polys) describing the subtracted multiples.
 
         The terms of f are looked up in order until the first one with a
-        divisor; an irreducible prefix is copied as it stands, and f itself
-        is returned when no term reduces.  The rest of the work is heap
-        division with delayed reduction: each elimination adds the raw
-        products (p - fac) * tc to the pending coefficients, and a
-        coefficient is reduced mod p once, when its key leaves the heap (a
-        key that sums to 0 there is dropped).  Keys are looked up in
-        descending order, once each while their coefficient is nonzero.
+        divisor, and f itself is returned when no term reduces.  Otherwise
+        the irreducible prefix seeds a WorkingPayload, the rest of f is
+        folded into it (fold_normal_form with the unit monomial and factor
+        1), and the payload is returned as one sorted Polynomial.
         """
         terms = f.terms
         find = self.find_divisor
-        for i, (key, c) in enumerate(terms):
-            cand = find(key)
-            if cand is not None:
+        for i, (key, _) in enumerate(terms):
+            if find(key) is not None:
                 break
         else:
             return f
-        ring = self.ring
-        p = ring.p
-        out = list(terms[:i])
-        rest = terms[i + 1:]
-        work = dict(rest)
-        # rest descends, so its negated keys ascend: already a heap
-        heap = [-k for k, _ in rest]
-        pop, push = _heappop, _heappush
-        steps = 0
-        while True:
-            if cand is None:
-                out.append((key, c))
-            else:
-                gk, _, inv_lc, pos, tail = cand
-                steps += 1
-                fac = (c * inv_lc) % p
-                if quotients is not None:
-                    qk = ring.key_div(key, gk)
-                    qmap = quotients[pos]
-                    qmap[qk] = (qmap.get(qk, 0) + fac) % p
-                mfac = p - fac
-                off = key - gk
-                get = work.get
-                # every new key lies below key, so a key is pushed once
-                # while it is pending and popped after all its additions
-                for tk, tc in tail:
-                    nk = off + tk
-                    prev = get(nk)
-                    if prev is None:
-                        work[nk] = mfac * tc
-                        push(heap, -nk)
-                    else:
-                        work[nk] = prev + mfac * tc
-            while heap:
-                key = -pop(heap)
-                c = work.pop(key) % p
-                if c:
-                    break
-            else:
-                break
-            cand = find(key)
-        if stats is not None:
-            stats.reduction_steps += steps
-        return Polynomial(ring, tuple(out))
+        payload = WorkingPayload(Polynomial(self.ring, terms[:i]))
+        self.fold_normal_form(payload, 0, 1, terms[i:], stats, quotients)
+        return payload.poly()
 
     def fold_normal_form(self, payload: WorkingPayload, off: int, mfac: int, terms,
                          stats=None, quotients=None):
         """Add NF(mfac * x^off * sum(terms)) to payload, whose keys are all irreducible.
 
-        The second loop next to reduce_full, for top reduction: payload
-        holds a normal form, so the sum is one too.  Each key is routed
-        when it is added: a payload key is irreducible and a key pending in
-        this call reducible, so neither is looked up; a new key is looked up
-        once and goes to the payload or onto the pending heap.  Pending keys
-        are eliminated in descending order with delayed reduction, as in
-        reduce_full, and so are the eliminations, their order, the quotient
-        maps (accumulated into quotients) and the steps counted on stats.
-        The monomial enters as off = key - ring.unit_key for its key.
+        The one elimination loop: heap division with delayed reduction
+        (Monagan & Pearce, JSC 2011).  payload.coeffs holds the payload's
+        coefficients and this call's pending ones alike.  A key already
+        there takes its addition; a new key is looked up once, in the
+        divisor cache or with find_divisor on a miss, and goes onto this
+        call's pending heap if a head divides it, onto payload.fresh if
+        not.  Each elimination adds the raw products mfac * tc of a
+        reducer's tail, mfac = p - fac, and a pending coefficient is reduced
+        mod p once, when its key is popped, which removes the key from
+        coeffs (one that sums to 0 there is dropped).  Pending keys are
+        popped in descending order, and every key an elimination adds lies
+        below the popped one, so a pending key's coefficient is final when
+        popped.  Each elimination counts one step on stats and adds to
+        quotients as reduce_full describes.  The monomial enters as off =
+        key - ring.unit_key for its key.
         """
         p = self.ring.p
         cache, find = self._cache, self.find_divisor
-        coeffs, heap = payload.coeffs, payload.heap
+        coeffs, fresh = payload.coeffs, payload.fresh
         get = coeffs.get
-        pending: dict[int, int] = {}
-        pheap: list[int] = []
+        pending: list[int] = []
         pop, push = _heappop, _heappush
         steps = 0
         while True:
@@ -752,22 +712,17 @@ class ReducerSet:
                 if prev is not None:
                     coeffs[nk] = prev + mfac * tc
                     continue
-                prev = pending.get(nk)
-                if prev is not None:
-                    pending[nk] = prev + mfac * tc
-                    continue
+                coeffs[nk] = mfac * tc
                 cand = cache.get(nk, 0)
                 if cand == 0:
                     cand = find(nk)
                 if cand is None:
-                    coeffs[nk] = mfac * tc
-                    push(heap, -nk)
+                    fresh.append(nk)
                 else:
-                    pending[nk] = mfac * tc
-                    push(pheap, -nk)
-            while pheap:
-                key = -pop(pheap)
-                c = pending.pop(key) % p
+                    push(pending, -nk)
+            while pending:
+                key = -pop(pending)
+                c = coeffs.pop(key) % p
                 if c:
                     break
             else:
@@ -788,24 +743,29 @@ class ReducerSet:
 class WorkingPayload:
     """A polynomial in flight: raw coefficients by key plus a max-heap of keys.
 
-    Top reduction keeps a payload here for a whole chain of steps, and
-    ReducerSet.fold_normal_form adds each step's normal form into it.  A
-    coefficient is reduced mod p when its key is read as the head, and the
-    key is dropped there if it sums to 0; until then a key that sums to 0
-    stays in coeffs and on the heap, and later folds add to it.
+    ReducerSet.fold_normal_form adds normal forms into a payload: top
+    reduction keeps one for a whole chain of steps, and reduce_full builds
+    one per call.  Keys a fold adds wait in fresh until head() pushes them
+    onto the heap.  A coefficient is reduced mod p when its key is read as
+    the head, and the key is dropped there if it sums to 0; until then a
+    key that sums to 0 stays in coeffs, and later folds add to it.
     """
 
-    __slots__ = ("ring", "coeffs", "heap")
+    __slots__ = ("ring", "coeffs", "heap", "fresh")
 
     def __init__(self, poly: Polynomial):
         self.ring = poly.ring
         self.coeffs = dict(poly.terms)
         # the terms descend, so their negated keys ascend: already a heap
         self.heap = [-k for k, _ in poly.terms]
+        self.fresh: list[int] = []
 
     def head(self):
         """(key, coefficient) of the leading term, or None for zero."""
         p, coeffs, heap = self.ring.p, self.coeffs, self.heap
+        for key in self.fresh:
+            _heappush(heap, -key)
+        self.fresh.clear()
         while heap:
             key = -heap[0]
             c = coeffs[key] % p
@@ -817,7 +777,7 @@ class WorkingPayload:
         return None
 
     def drop_head(self):
-        """Remove the leading term, which a top-reduction step cancels."""
+        """Remove the leading term head() read; a top-reduction step cancels it."""
         del self.coeffs[-_heappop(self.heap)]
 
     def poly(self, scale: int = 1) -> Polynomial:

@@ -51,12 +51,20 @@ COFACTOR_TESTS = (
     "tests/test_algebra.py::test_reduce_payload_rejects_a_basis_missing_a_cofactor_vector",
     "tests/test_sympy_differential.py::test_certificates_hold_in_sympy",
 )
-KERNEL_TESTS = (  # the property test last: shrinking a failure takes seconds
+KERNEL_TESTS = (  # the property tests last: shrinking a failure takes seconds
+    "tests/test_algebra.py::test_reduce_full_fixed_cases_match_eager_reference",
     "tests/test_algebra.py::test_fold_normal_form_fixed_cases",
     "tests/test_algebra.py::test_working_payload_reads_and_drops_its_head",
+    "tests/test_algebra.py::test_engine_runs_eliminate_as_the_eager_kernel",
     "tests/test_engine.py",
+    "tests/test_algebra.py::test_reduce_full_matches_eager_reference",
     "tests/test_algebra.py::test_fold_normal_form_matches_reduce_full",
 )
+LCM_TESTS = (
+    "tests/test_algebra.py::test_products_past_the_packed_degree_raise",
+    "tests/test_algebra.py::test_key_divisibility_agrees_with_exponent_tuples",
+)
+GM_TESTS = ("tests/test_drivers.py::test_gebauer_moller_pair_stream_is_pinned",)
 CRITERIA_TESTS = (
     "tests/test_acceptance.py::test_criterion_2_trace_fidelity",
     "tests/test_engine.py",
@@ -139,17 +147,73 @@ MUTANTS = (
         "else 1",
         CRITERIA_TESTS,
     ),
-    # -- the chain's working payload (algebra.ReducerSet.fold_normal_form
-    #    and algebra.WorkingPayload)
+    # -- the one elimination loop (algebra.ReducerSet.fold_normal_form, its
+    #    caller reduce_full, and algebra.WorkingPayload)
+    Mutant(
+        "pending-pop-without-mod-p",
+        "algebra.py",
+        "                c = coeffs.pop(key) % p\n",
+        "                c = coeffs.pop(key)\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "pending-key-kept",
+        "algebra.py",
+        "                c = coeffs.pop(key) % p\n",
+        "                c = coeffs[key] % p\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "prefix-dropped",
+        "algebra.py",
+        "        payload = WorkingPayload(Polynomial(self.ring, terms[:i]))\n",
+        "        payload = WorkingPayload(self.ring.zero)\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "mfac-not-negated",
+        "algebra.py",
+        "            mfac = p - fac\n",
+        "            mfac = fac\n",
+        KERNEL_TESTS,
+    ),
     Mutant(
         "fold-shared-pending-heap",
         "algebra.py",
-        "        pending: dict[int, int] = {}\n        pheap: list[int] = []\n",
-        "        pending, pheap = globals().setdefault(\"_shared_pending\", ({}, []))\n",
+        "        pending: list[int] = []\n",
+        "        pending = globals().setdefault(\"_shared_pending\", [])\n",
         KERNEL_TESTS,
-        equivalent="each call pops its pending heap, and the key of each pop from"
-        " pending, until both are empty, so a shared heap is empty whenever a"
-        " step starts",
+        equivalent="each call pops its pending heap until it is empty, so a shared"
+        " heap is empty whenever a call starts",
+    ),
+    Mutant(
+        "irreducible-key-pending",
+        "algebra.py",
+        "                if cand is None:\n                    fresh.append(nk)\n",
+        "                if False:\n                    fresh.append(nk)\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        # correct results, but each new key goes to find_divisor again
+        "divisor-cache-skipped",
+        "algebra.py",
+        "                cand = cache.get(nk, 0)\n",
+        "                cand = 0\n",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "fresh-keys-not-pushed",
+        "algebra.py",
+        "        for key in self.fresh:\n            _heappush(heap, -key)\n",
+        "",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "fresh-keys-pushed-twice",
+        "algebra.py",
+        "        self.fresh.clear()\n",
+        "",
+        KERNEL_TESTS,
     ),
     Mutant(
         "head-read-without-mod-p",
@@ -159,18 +223,41 @@ MUTANTS = (
         KERNEL_TESTS,
     ),
     Mutant(
-        "irreducible-key-pending",
-        "algebra.py",
-        "                if cand is None:\n                    coeffs[nk] = mfac * tc\n",
-        "                if False:\n                    coeffs[nk] = mfac * tc\n",
-        KERNEL_TESTS,
-    ),
-    Mutant(
         "cancelled-head-left",
         "algebra.py",
         "        del self.coeffs[-_heappop(self.heap)]\n",
         "        _heappop(self.heap)\n",
         KERNEL_TESTS,
+    ),
+    # -- the packed-key lcm (algebra.PolynomialRing.lcm)
+    Mutant(
+        "lcm-selects-minimum",
+        "algebra.py",
+        "        w = wb ^ ((wa ^ wb) & m)\n",
+        "        w = wa ^ ((wa ^ wb) & m)\n",
+        LCM_TESTS,
+    ),
+    Mutant(
+        "lcm-degree-unchecked",
+        "algebra.py",
+        "        self.check_degree(d)\n        if self._graded:\n",
+        "        if self._graded:\n",
+        LCM_TESTS,
+    ),
+    # -- the oracle's Gebauer-Moller update (drivers._gm_update)
+    Mutant(
+        "no-product-criterion",
+        "drivers.py",
+        "    E = [c for c in D if not c[1]]\n",
+        "    E = D\n",
+        GM_TESTS,
+    ),
+    Mutant(
+        "no-chain-test-among-new-pairs",
+        "drivers.py",
+        "        if c[1] or not (\n",
+        "        if True or not (\n",
+        GM_TESTS,
     ),
     Mutant(
         "admissible-heads-only",

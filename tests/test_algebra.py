@@ -697,7 +697,7 @@ class _Steps:
 
 
 class _RecordingReducerSet(ReducerSet):
-    """A ReducerSet that logs every key reduce_full looks up."""
+    """A ReducerSet that logs every key passed to find_divisor."""
 
     __slots__ = ("keys",)
 
@@ -710,21 +710,46 @@ class _RecordingReducerSet(ReducerSet):
         return super().find_divisor(key)
 
 
+class _LoggedQuotients(dict):
+    """A quotient map that logs (reducer position, quotient key) per write,
+    so the log lists the eliminations in the order a kernel made them."""
+
+    def __init__(self, pos, log):
+        super().__init__()
+        self.pos, self.log = pos, log
+
+    def __setitem__(self, key, value):
+        self.log.append((self.pos, key))
+        super().__setitem__(key, value)
+
+
+def _logged_quotients(n):
+    """n empty logged quotient maps that share one elimination log."""
+    log = []
+    return [_LoggedQuotients(pos, log) for pos in range(n)], log
+
+
+def _assert_each_key_looked_up_once(keys):
+    assert len(set(keys)) == len(keys), "a key was passed to find_divisor twice"
+
+
 def _run_kernel(kernel, ring, G, f, prefer):
-    """(result, steps, quotient maps, looked-up keys) of one reduction."""
+    """(result, steps, quotient maps, elimination log, looked-up keys) of
+    one reduction."""
     rs = _RecordingReducerSet(ring, G, prefer=prefer)
     stats = _Steps()
-    quotients = [dict() for _ in rs.polys]
+    quotients, log = _logged_quotients(len(rs.polys))
     result = kernel(rs, f, stats=stats, quotients=quotients)
-    return result, stats.reduction_steps, quotients, rs.keys
+    return result, stats.reduction_steps, quotients, log, rs.keys
 
 
 def _check_against_eager(ring, G, f, prefer=1):
     got = _run_kernel(ReducerSet.reduce_full, ring, G, f, prefer)
     want = _run_kernel(eager_reduce_full, ring, G, f, prefer)
     assert got[0].terms == want[0].terms
-    assert got[1:] == want[1:]
+    assert got[1:4] == want[1:4]
     assert (got[1] == 0) == (got[0] is f)
+    _assert_each_key_looked_up_once(got[4])
     return got
 
 
@@ -799,18 +824,16 @@ def test_reduce_full_fixed_cases_match_eager_reference(name, prefer):
 
 
 @pytest.mark.parametrize("F", [katsura(4), cyclic(5)], ids=["katsura-4", "cyclic-5"])
-def test_engine_runs_look_up_the_same_keys_as_the_eager_kernel(F, monkeypatch):
-    """perfbench counts eliminations, term operations and its units by
-    wrapping find_divisor; pin that every reduce_full call of real runs,
-    plain and certified, looks up the reference kernel's keys in its order.
-    These calls are the first normal forms of the S-polynomials, F5R's and
-    F5C's interreductions, the oracle and the verification.  Top-reduction
-    steps do not call reduce_full: they fold their normal forms into the
-    chain's payload (ReducerSet.fold_normal_form, tested against
-    reduce_full below)."""
+def test_engine_runs_eliminate_as_the_eager_kernel(F, monkeypatch):
+    """Pin that every reduce_full call of real runs, plain and certified,
+    makes the reference kernel's eliminations in its order, and passes no
+    key to find_divisor twice.  These calls are the first normal forms of
+    the S-polynomials, F5R's and F5C's interreductions, the oracle and the
+    verification.  Top-reduction steps call fold_normal_form directly,
+    which the fold tests below check against the reference."""
     kernel, find = ReducerSet.reduce_full, ReducerSet.find_divisor
     open_logs = []  # the key log of each reduction in progress
-    compared = []
+    compared = []  # the reference's looked-up keys per call
 
     def recording_find(rs, key):
         if open_logs:
@@ -825,16 +848,22 @@ def test_engine_runs_look_up_the_same_keys_as_the_eager_kernel(F, monkeypatch):
             open_logs.pop()
 
     def checked_reduce_full(rs, f, stats=None, quotients=None):
-        ref_q = None if quotients is None else [dict(q) for q in quotients]
+        # both kernels write logged maps, copied into the caller's (empty) ones
+        assert not any(quotients or ())
+        got_q, got_log = _logged_quotients(len(rs.polys))
+        ref_q, ref_log = _logged_quotients(len(rs.polys))
         ref_stats = _Steps()
         before = stats.reduction_steps if stats is not None else 0
-        result, keys = logged(kernel, rs, f, stats, quotients)
+        result, keys = logged(kernel, rs, f, stats, got_q)
         expected, ref_keys = logged(eager_reduce_full, rs, f, ref_stats, ref_q)
-        assert keys == ref_keys
-        assert result.terms == expected.terms and quotients == ref_q
+        _assert_each_key_looked_up_once(keys)
+        assert result.terms == expected.terms
+        assert got_q == ref_q and got_log == ref_log
         if stats is not None:
             assert stats.reduction_steps - before == ref_stats.reduction_steps
-        compared.append(len(keys))
+        for q, g in zip(quotients or (), got_q):
+            q.update(g)
+        compared.append(len(ref_keys))
         return result
 
     monkeypatch.setattr(ReducerSet, "find_divisor", recording_find)
@@ -845,36 +874,25 @@ def test_engine_runs_look_up_the_same_keys_as_the_eager_kernel(F, monkeypatch):
     assert len(compared) > 100 and sum(compared) > 1000
 
 
-class _LoggedQuotients(dict):
-    """A quotient map that logs (reducer position, quotient key) per write,
-    so the log lists the eliminations in the order a kernel made them."""
-
-    def __init__(self, pos, log):
-        super().__init__()
-        self.pos, self.log = pos, log
-
-    def __setitem__(self, key, value):
-        self.log.append((self.pos, key))
-        super().__setitem__(key, value)
-
-
 def _fold_and_reference(ring, G, f, folds, prefer=1):
     """Fold each (u, c, r) of folds into the normal form of f, once with
-    fold_normal_form and once as h + reduce_full(c*u*r); assert that both
-    give the same terms, steps, quotient maps and elimination order after
-    every fold, and return the folded payload's terms."""
-    rs = ReducerSet(ring, G, prefer=prefer)
-    h = rs.reduce_full(f)
+    fold_normal_form and once as h + eager_reduce_full(c*u*r) on a reducer
+    set of its own; assert that both give the same terms, steps, quotient
+    maps and elimination order after every fold, that no fold passes a key
+    to find_divisor twice, and return the folded payload's terms."""
+    rs = _RecordingReducerSet(ring, G, prefer=prefer)
+    ref = ReducerSet(ring, G, prefer=prefer)
+    h = eager_reduce_full(ref, f)
     payload = WorkingPayload(h)
-    runs = []
-    for _ in range(2):
-        log = []
-        runs.append((_Steps(), [_LoggedQuotients(pos, log) for pos in range(len(rs.polys))], log))
-    (got_stats, got_q, got_log), (want_stats, want_q, want_log) = runs
+    got_stats, want_stats = _Steps(), _Steps()
+    got_q, got_log = _logged_quotients(len(rs.polys))
+    want_q, want_log = _logged_quotients(len(rs.polys))
     for u, c, r in folds:
         u_key = ring.key(u)
+        rs.keys.clear()
         rs.fold_normal_form(payload, u_key - ring.unit_key, c, r.terms, got_stats, got_q)
-        h = h + rs.reduce_full(r.term_mul_key(u_key, c), stats=want_stats, quotients=want_q)
+        _assert_each_key_looked_up_once(rs.keys)
+        h = h + eager_reduce_full(ref, r.term_mul_key(u_key, c), stats=want_stats, quotients=want_q)
         got = payload.poly()
         assert got.terms == h.terms
         assert payload.head() == (h.terms[0] if h else None)
