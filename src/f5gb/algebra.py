@@ -612,14 +612,16 @@ class ReducerSet:
     memoized, so reusing one ReducerSet across many reductions against the
     same basis amortizes the divisor search.  Ties between several dividing
     heads go to the largest by default (prefer=-1 selects the smallest
-    instead); any choice yields the same normal form.
+    instead); any choice yields the same normal form.  eliminations counts
+    the eliminations of every fold against the set.
     """
 
-    __slots__ = ("ring", "polys", "_keys", "_cands", "_cache", "_prefer")
+    __slots__ = ("ring", "polys", "eliminations", "_keys", "_cands", "_cache", "_prefer")
 
     def __init__(self, ring: PolynomialRing, polys, prefer: int = 1):
         self.ring = ring
         self.polys = [g for g in polys if g]
+        self.eliminations = 0
         self._prefer = prefer
         order = sorted(range(len(self.polys)), key=lambda i: self.polys[i].lt_key())
         cands = []
@@ -694,9 +696,9 @@ class ReducerSet:
         coeffs (one that sums to 0 there is dropped).  Pending keys are
         popped in descending order, and every key an elimination adds lies
         below the popped one, so a pending key's coefficient is final when
-        popped.  Each elimination counts one step on stats and adds to
-        quotients as reduce_full describes.  The monomial enters as off =
-        key - ring.unit_key for its key.
+        popped.  Each elimination counts one step on self.eliminations and on
+        stats, and adds to quotients as reduce_full describes.  The monomial
+        enters as off = key - ring.unit_key for its key.
         """
         p = self.ring.p
         cache, find = self._cache, self.find_divisor
@@ -736,6 +738,7 @@ class ReducerSet:
                 qmap[qk] = (qmap.get(qk, 0) + fac) % p
             mfac = p - fac
             off = key - gk
+        self.eliminations += steps
         if stats is not None:
             stats.reduction_steps += steps
 
@@ -862,50 +865,68 @@ def _autoreduce(G):
     return live
 
 
-def _reduce_tails(G, cofs):
-    """Head minimization, then tail reduction against one shared ReducerSet.
+def reduced_basis(G, cofs, stats=None):
+    """Head minimization, then one tail pass against one shared ReducerSet.
 
     cofs lists one cofactor vector, or None, per element of G (another
-    length raises ValueError).  Returns (result, result_cofs, clean):
+    length raises ValueError).  Returns (result, result_cofs, dropped):
     result lists the kept elements, monic with pairwise indivisible heads
-    and ascending, each with its tail fully reduced, and result_cofs their
-    cofactor vectors (None for None).  clean is False when an element
-    dropped by head minimization does not reduce to zero against the
-    result, which means G is no Groebner basis.
+    and ascending, each with its tail fully reduced, result_cofs their
+    cofactor vectors (None for None), and dropped the elements head
+    minimization removed.  For a Groebner basis G, result is its reduced
+    basis and every dropped element reduces to zero against it; nothing
+    here checks that (interreduce and interreduce_with_cofactors do).  With
+    stats, stats.interreduction_steps counts the tail pass's eliminations
+    and stats.dropped the removed elements.
     """
     live = sorted(
         ((g, c) for g, c in zip(G, cofs, strict=True) if g), key=lambda t: t[0].lt_key()
     )
     if not live:
-        return [], [], True
+        return [], [], []
     ring = live[0][0].ring
     # head minimization: for a Groebner basis, elements whose head another
     # head divides reduce to zero against the rest and can be dropped; a kept
     # element is made monic, and its vector is scaled by the same 1/lc
     kept = []
+    kcofs = []
     dropped = []
     for g, c in live:
-        if any(ring.divides(h.lt_key(), g.lt_key()) for h, _ in kept):
+        if any(ring.divides(h.lt_key(), g.lt_key()) for h in kept):
             dropped.append(g)
         else:
             inv = ring.field.inv(g.lc())
-            kept.append((g.monic(), c if c is None or inv == 1 else [h.scale(inv) for h in c]))
-    kcofs = [c for _, c in kept]
+            kept.append(g.monic())
+            kcofs.append(c if c is None or inv == 1 else [h.scale(inv) for h in c])
     # tail reduction against one shared reducer set: heads are pairwise
     # indivisible, so only tail monomials ever reduce, and any fixpoint with
-    # these heads is the canonical reduced basis
-    shared = ReducerSet(ring, [g for g, _ in kept])
+    # these heads is the canonical reduced basis.  Tails go in ascending
+    # head order, and every reducer of a tail has a smaller head, so each
+    # element's reduced tail and vector replace its candidate's (kept
+    # ascends, so candidate i is kept[i]) before any tail can use them; a
+    # cached lookup that returns candidate i is made while reducing a later
+    # element, after the replacement, so the divisor cache stays valid.
+    shared = ReducerSet(ring, kept)
+    cands = shared._cands
     result = []
-    result_cofs = []
-    for g, kc in kept:
-        tail, out = reduce_payload(shared, Polynomial(ring, g.terms[1:]), kc, kcofs, None)
+    for i, g in enumerate(kept):
+        tail, kcofs[i] = reduce_payload(
+            shared, Polynomial(ring, g.terms[1:]), kcofs[i], kcofs, None
+        )
+        cands[i] = cands[i][:4] + (tail.terms,)
         result.append(Polynomial(ring, g.terms[:1] + tail.terms))
-        result_cofs.append(out)
-    clean = True
-    if dropped:
-        verifier = ReducerSet(ring, result)
-        clean = not any(verifier.reduce_full(d) for d in dropped)
-    return result, result_cofs, clean
+    if stats is not None:
+        stats.interreduction_steps += shared.eliminations
+        stats.dropped += len(dropped)
+    return result, kcofs, dropped
+
+
+def _reduce_to_zero(polys, G) -> bool:
+    """True when every polynomial in polys reduces to zero against G."""
+    if not polys:
+        return True
+    reducers = ReducerSet(polys[0].ring, G)
+    return not any(reducers.reduce_full(f) for f in polys)
 
 
 def interreduce(G):
@@ -914,11 +935,12 @@ def interreduce(G):
     Every output is monic, no monomial of any element is divisible by the
     head of another, and the result is sorted ascending by head monomial.
     Zero polynomials are dropped.  Uniqueness holds when G is a Groebner
-    basis of its ideal (the caller's obligation); other input falls back to
-    a fixpoint interreduction.
+    basis of its ideal (the caller's obligation); input whose dropped
+    elements do not reduce to zero against reduced_basis's result falls
+    back to a fixpoint interreduction.
     """
-    result, _, clean = _reduce_tails(G, [None] * len(G))
-    return result if clean else _autoreduce(G)
+    result, _, dropped = reduced_basis(G, [None] * len(G))
+    return result if _reduce_to_zero(dropped, result) else _autoreduce(G)
 
 
 def interreduce_with_cofactors(G, cofs):
@@ -929,8 +951,8 @@ def interreduce_with_cofactors(G, cofs):
     over it (None where the input vectors are None).  G must be a Groebner
     basis and cofs as long as G: other input raises ValueError.
     """
-    result, result_cofs, clean = _reduce_tails(G, cofs)
-    if not clean:
+    result, result_cofs, dropped = reduced_basis(G, cofs)
+    if not _reduce_to_zero(dropped, result):
         raise ValueError("interreduce_with_cofactors needs a Groebner basis")
     return result, result_cofs
 

@@ -6,10 +6,15 @@ in how the previous basis is carried between iterations:
 * f5  keeps the raw store polynomials,
 * f5r reduces against the interreduced basis but keeps pairs/signatures on
   the raw store (identical pair and S-polynomial stream to f5); one
-  interreduce_with_cofactors call carries the cofactor vectors through the
+  reduced_basis call carries the cofactor vectors through the
   interreduction, or passes a plain run's None through,
 * f5c rebuilds the store and rewrite rules around the reduced basis after
   every iteration, so later iterations see fewer generators.
+
+Both rebuilds build the reduced basis once with reduced_basis, which does not
+check that the elements it drops reduce to zero: the F5 theorem makes each
+iteration's basis a Groebner basis, and a run's result is checked where it is
+used (groebner_check, the oracle, the acceptance and sympy tests).
 
 buchberger_reduced is the correctness oracle: a Buchberger loop under the
 Gebauer-Moller criteria.  It shares no signature code with the engine, but it
@@ -29,8 +34,10 @@ from .algebra import (
     ReducerSet,
     ZeroPolynomialError,
     interreduce,
+    # unused here, but perfbench/tracer.py wraps drivers.interreduce_with_cofactors
     interreduce_with_cofactors,
     normal_form,  # unused here, but perfbench/tracer.py wraps drivers.normal_form
+    reduced_basis,
     spoly,
 )
 from .engine import F5Engine, PrevBasis, RunStats
@@ -83,7 +90,8 @@ def _prepare_inputs(F, variant: str):
 def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False):
     """Swap the store's contents for the interreduced basis of curr.
 
-    The store is reset to (e_j, B_j) for the reduced basis B, which becomes
+    reduced_basis builds it once, counting on the iteration's stats.  The
+    store is reset to (e_j, B_j) for the reduced basis B, which becomes
     the reference system; the rule table is cleared, and (unless
     skip_rule_rebuild) each Rules_j receives one phantom rule per smaller
     index, recording that the S-polynomials of B already reduce to zero.
@@ -91,7 +99,8 @@ def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False)
     """
     ring = engine.ring
     store = engine.store
-    B = interreduce([store.poly(k) for k in curr])
+    # indexed, so no list of old polynomials outlives store.reset()
+    B = reduced_basis([store.poly(k) for k in curr], [None] * len(curr), engine.it_stats)[0]
     store.reset()
     for b in B:
         store.add_input(b)
@@ -112,7 +121,7 @@ def _prev_bundle(engine: F5Engine, variant: str, prev_indices):
     polys = [store.poly(k) for k in prev_indices]
     cofs = [store.entry(k).cofactors for k in prev_indices]
     if variant == "f5r":
-        polys, cofs = interreduce_with_cofactors(polys, cofs)
+        polys, cofs, _ = reduced_basis(polys, cofs, engine.it_stats)
     return PrevBasis(engine.ring, polys, cofs)
 
 

@@ -26,7 +26,11 @@ class IterationStats:
 
     chains counts top_reduction calls: each takes one entry through its
     chain of safe_steps, which ends with no reductor, at zero, or at one of
-    the unsafe_splits.
+    the unsafe_splits.  interreduction_steps counts the eliminations of an
+    F5R or F5C rebuild's tail pass and dropped the elements its head
+    minimization removed (f5r rebuilds the previous basis at the start of
+    iteration i, f5c the new one at its end); neither is part of
+    reduction_steps or totals().
     """
 
     i: int
@@ -38,6 +42,8 @@ class IterationStats:
     safe_steps: int = 0
     unsafe_splits: int = 0
     chains: int = 0
+    interreduction_steps: int = 0
+    dropped: int = 0
 
     def to_dict(self):
         return {
@@ -50,6 +56,8 @@ class IterationStats:
             "safe_steps": self.safe_steps,
             "unsafe_splits": self.unsafe_splits,
             "chains": self.chains,
+            "interreduction_steps": self.interreduction_steps,
+            "dropped": self.dropped,
         }
 
 

@@ -48,8 +48,18 @@ class Mutant:
 COFACTOR_TESTS = (
     "tests/test_algebra.py::test_interreduce_with_cofactors_on_raw_f5_basis",
     "tests/test_algebra.py::test_interreduce_with_cofactors_rejects_non_groebner_input",
+    "tests/test_algebra.py::test_reduced_basis_fixed_cases",
     "tests/test_algebra.py::test_reduce_payload_rejects_a_basis_missing_a_cofactor_vector",
     "tests/test_sympy_differential.py::test_certificates_hold_in_sympy",
+)
+TAIL_PASS_TESTS = (
+    "tests/test_engine.py::test_interreduction_counters_golden",
+    "tests/test_algebra.py::test_reduced_basis_fixed_cases",
+)
+INTERREDUCE_TESTS = (
+    "tests/test_algebra.py::test_interreduce_trivial_cases",
+    "tests/test_algebra.py::test_interreduce_properties_randomized",
+    "tests/test_algebra.py::test_interreduce_with_cofactors_rejects_non_groebner_input",
 )
 KERNEL_TESTS = (  # the property tests last: shrinking a failure takes seconds
     "tests/test_algebra.py::test_reduce_full_fixed_cases_match_eager_reference",
@@ -73,7 +83,7 @@ CRITERIA_TESTS = (
 )
 
 MUTANTS = (
-    # -- cofactor vectors through the interreduction (algebra._reduce_tails
+    # -- cofactor vectors through the interreduction (algebra.reduced_basis
     #    and algebra.reduce_payload)
     Mutant(
         "kept-vectors-unscaled",
@@ -92,16 +102,49 @@ MUTANTS = (
     Mutant(
         "tails-reduce-against-unscaled-vectors",
         "algebra.py",
-        "Polynomial(ring, g.terms[1:]), kc, kcofs, None)",
-        "Polynomial(ring, g.terms[1:]), kc, cofs, None)",
+        "Polynomial(ring, g.terms[1:]), kcofs[i], kcofs, None",
+        "Polynomial(ring, g.terms[1:]), kcofs[i], cofs, None",
         COFACTOR_TESTS,
     ),
     Mutant(
         "non-groebner-input-accepted",
         "algebra.py",
-        "    if not clean:\n        raise ValueError(\"interreduce_with_cofactors needs a Groebner basis\")\n",
+        "    if not _reduce_to_zero(dropped, result):\n"
+        "        raise ValueError(\"interreduce_with_cofactors needs a Groebner basis\")\n",
         "",
         COFACTOR_TESTS,
+    ),
+    Mutant(
+        # each element keeps the vector it came in with, for later tails too
+        "tail-vector-not-replaced",
+        "algebra.py",
+        "        tail, kcofs[i] = reduce_payload(\n",
+        "        tail, _ = reduce_payload(\n",
+        COFACTOR_TESTS,
+    ),
+    # -- the tail pass (algebra.reduced_basis) and the public check around it
+    Mutant(
+        # later tails reduce against the element's raw tail: the same basis,
+        # but more eliminations, and vectors that no longer match the tails
+        "tail-not-replaced",
+        "algebra.py",
+        "        cands[i] = cands[i][:4] + (tail.terms,)\n",
+        "",
+        TAIL_PASS_TESTS,
+    ),
+    Mutant(
+        "eliminations-not-counted",
+        "algebra.py",
+        "        self.eliminations += steps\n",
+        "",
+        TAIL_PASS_TESTS,
+    ),
+    Mutant(
+        "public-interreduce-skips-check",
+        "algebra.py",
+        "    return result if _reduce_to_zero(dropped, result) else _autoreduce(G)\n",
+        "    return result\n",
+        INTERREDUCE_TESTS,
     ),
     # -- the criteria
     Mutant(

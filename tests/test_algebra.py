@@ -19,6 +19,7 @@ from f5gb.algebra import (
     TermOrder,
     WorkingPayload,
     ZeroPolynomialError,
+    _autoreduce,
     homogenize,
     interreduce,
     interreduce_with_cofactors,
@@ -31,6 +32,7 @@ from f5gb.algebra import (
     normal_form,
     order_cmp,
     reduce_payload,
+    reduced_basis,
     spoly,
     sum_products,
     top_reduce_step,
@@ -1069,6 +1071,54 @@ def test_interreduce_with_cofactors_rejects_non_groebner_input():
     ]
     with pytest.raises(ValueError):
         interreduce_with_cofactors(G, [None] * len(G))
+
+
+@pytest.mark.parametrize("p", [32003, 101])
+@pytest.mark.parametrize(
+    "family, n", [(katsura, 4), (katsura, 5), (cyclic, 4), (cyclic, 5)],
+    ids=["katsura-4", "katsura-5", "cyclic-4", "cyclic-5"],
+)
+def test_reduced_basis_fixed_cases(family, n, p, monkeypatch):
+    # the rebuilds' builder on the raw f5 and f5r bases, with the certified
+    # store's vectors: the same reduced basis as interreduce and the fixpoint
+    # interreduction, vectors that compose it over the inputs, and no
+    # ReducerSet but the shared one (no check of the dropped elements)
+    from f5gb import algebra, drivers
+
+    engines = []
+
+    class RecordingEngine(drivers.F5Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    built = []
+
+    class CountingReducerSet(ReducerSet):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(drivers, "F5Engine", RecordingEngine)
+    for variant in ("f5", "f5r"):
+        engines.clear()
+        G = run_variant(family(n, p), VariantConfig(variant, certified=True)).basis
+        store = engines[0].store
+        vectors = {id(e.poly): e.cofactors for e in store.entries[1:]}
+        cofs = [vectors[id(g)] for g in G]
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "ReducerSet", CountingReducerSet)
+            result, result_cofs, dropped = reduced_basis(G, cofs)
+        assert len(built) == 1
+        assert result == interreduce(G) == _autoreduce(G)
+        assert len(result) + len(dropped) == len(G)
+        assert all(not normal_form(d, result) for d in dropped)
+        ring = G[0].ring
+        for g, vec in zip(result, result_cofs, strict=True):
+            assert sum_products(ring, zip(vec, store.reference_system)) == g
 
 
 # ---------------------------------------------------------------------------

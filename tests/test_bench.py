@@ -124,5 +124,7 @@ def test_stats_serialization_schema():
             "safe_steps",
             "unsafe_splits",
             "chains",
+            "interreduction_steps",
+            "dropped",
         }
         assert all(isinstance(k, str) for k in it["pairs_by_degree"])

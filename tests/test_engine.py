@@ -340,6 +340,32 @@ def test_run_stats_golden(name, variant):
     assert certified.stats.to_dict() == plain.stats.to_dict()
 
 
+# per iteration: the eliminations of the rebuild's tail pass and the elements
+# its head minimization dropped.  f5r rebuilds the previous basis at the
+# start of iteration i, f5c the new basis at the end of it, and f5 never
+# rebuilds.  Each tail reduces against the reduced tails of the elements
+# below it; against their raw tails it would take 200, 381, 16 and 85 steps.
+GOLDEN_INTERREDUCTION = {
+    ("katsura-5", "f5r"): ([0, 1, 4, 30, 93], [0, 0, 0, 1, 4]),
+    ("katsura-5", "f5c"): ([1, 3, 28, 85, 198], [0, 0, 1, 3, 8]),
+    ("cyclic-5", "f5r"): ([0, 0, 1, 15], [0, 1, 2, 3]),
+    ("cyclic-5", "f5c"): ([0, 1, 14, 69], [1, 1, 1, 2]),
+    ("cyclic-5", "f5"): ([0, 0, 0, 0], [0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name, variant", sorted(GOLDEN_INTERREDUCTION))
+def test_interreduction_counters_golden(name, variant):
+    from f5gb.bench import cyclic, katsura
+    from f5gb.drivers import VariantConfig, run_variant
+
+    F = katsura(5) if name == "katsura-5" else cyclic(5)
+    steps, dropped = GOLDEN_INTERREDUCTION[name, variant]
+    its = run_variant(F, VariantConfig(variant)).stats.iterations
+    assert [it.to_dict()["interreduction_steps"] for it in its] == steps
+    assert [it.to_dict()["dropped"] for it in its] == dropped
+
+
 def _is_normal_form(reducers, f):
     steps = IterationStats(i=0)
     return reducers.reduce_full(f, stats=steps) == f and steps.reduction_steps == 0

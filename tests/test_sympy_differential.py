@@ -117,14 +117,21 @@ def test_table3_small_systems_agree_with_sympy(name):
     assert not groebner_check(F)
 
 
-@pytest.mark.parametrize("name", ["katsura-4", "cyclic-4"])
+CERTIFIED_SYSTEMS = {"katsura-4": (katsura, 4), "cyclic-4": (cyclic, 4), "katsura-5": (katsura, 5)}
+
+
+# katsura-5: the smallest of the katsura and cyclic systems whose certified
+# f5r vectors differ between a tail pass against the reducers' reduced tails
+# and one against their raw tails
+@pytest.mark.parametrize("name", list(CERTIFIED_SYSTEMS))
 def test_certificates_hold_in_sympy(name, monkeypatch):
     # admissible_check verifies sum_l h_l * f_l == g with f5gb's own
     # sum_products; here the final state of every certified store entry
     # (each f5c rebuild's store included) is re-checked in sympy: the sum,
     # h_l == 0 for l > nu, and lm(h_nu) equal to the signature monomial.
     # Every f5r PrevBasis vector must compose its interreduced polynomial.
-    F = katsura(4) if name == "katsura-4" else cyclic(4)
+    family, n = CERTIFIED_SYSTEMS[name]
+    F = family(n)
     ring = F[0].ring
     gens = sympy.symbols(ring.names)
     order = SYMPY_ORDER[ring.order.kind]
