@@ -303,27 +303,37 @@ class PolynomialRing:
         return ((self.word(kb) | g) - self.word(ka)) & g == g
 
     def lcm(self, ka: int, kb: int) -> int:
-        """Key of the least common multiple of the monomials keyed ka and kb.
+        """Key of the least common multiple of the monomials keyed ka and kb."""
+        return self.lcms(ka, (kb,))[0]
+
+    def lcms(self, ka: int, keys) -> list:
+        """Keys of lcm(a, b) for each key kb in keys, in the order of keys.
 
         On the exponent words with the degree field masked off, the guard
         marks each field where e_i(a) >= e_i(b) (see divides); the marks
         widen to field masks that select the larger exponent.  One multiply
         by sum(1 << W*i) sums the fields into the top one: every partial sum
         is at most deg(a) + deg(b) < 2**16, so no field carries.  Raises
-        ExponentOverflowError when the lcm's total degree does not pack.
+        ExponentOverflowError when some lcm's total degree does not pack.
         """
-        W, g, shift = _FIELD_BITS, self.guard, self._deg_shift
+        W, g, shift, unit = _FIELD_BITS, self.guard, self._deg_shift, self.unit_key
         low = (1 << shift) - 1
         fmask = (1 << W) - 1
-        wa = self.word(ka) & low
-        wb = self.word(kb) & low
-        m = ((((wa | g) - wb) & g) >> (W - 1)) * fmask
-        w = wb ^ ((wa ^ wb) & m)
-        d = (w * self._ones >> (shift - W)) & fmask
-        self.check_degree(d)
-        if self._graded:
-            w |= d << shift
-        return w ^ self.unit_key
+        ones, top = self._ones, shift - W
+        keep = -1 if self._graded else low  # lex keys have no degree field
+        wa = (ka ^ unit) & low
+        wag = wa | g
+        out = []
+        dmax = 0
+        for kb in keys:
+            wb = (kb ^ unit) & low
+            w = wb ^ ((wa ^ wb) & ((((wag - wb) & g) >> (W - 1)) * fmask))
+            d = (w * ones >> top) & fmask
+            if d > dmax:
+                dmax = d
+            out.append(((w | d << shift) & keep) ^ unit)
+        self.check_degree(dmax)
+        return out
 
     # -- polynomial construction ------------------------------------------
 

@@ -4,10 +4,12 @@ One F5Engine owns a labeled-polynomial store and a rewrite-rule table for the
 duration of a single Groebner computation.  incremental_basis extends a basis
 of <f_1..f_{i-1}> to one of <f_1..f_i>, processing critical pairs in
 nondecreasing lcm degree and reducing S-polynomials in increasing signature
-order.  Pair creation applies both the previous-basis top-reducibility
-criterion and the rewritability check; the latter only front-loads a skip the
-S-polynomial stage would perform anyway, and keeps the processed-degree
-stream identical to the reference traces.
+order.  Pair creation forms each new element's pairs in one batch
+(critical_pairs) and applies both the previous-basis top-reducibility
+criterion (the F5 criterion) and the rewritability check; the latter only
+front-loads a skip the S-polynomial stage would perform anyway, and keeps the
+processed-degree stream identical to the reference traces.  IterationStats
+counts the pairs each check drops.
 """
 
 from __future__ import annotations
@@ -30,7 +32,11 @@ class IterationStats:
     F5R or F5C rebuild's tail pass and dropped the elements its head
     minimization removed (f5r rebuilds the previous basis at the start of
     iteration i, f5c the new one at its end); neither is part of
-    reduction_steps or totals().
+    reduction_steps or totals().  pairs_f5_criterion and pairs_rewritten
+    count the candidate pairs critical_pairs drops by the F5 criterion and
+    by the rewritten criterion, and spolys_rewritten the kept pairs
+    compute_spols drops as rewritten, so the kept pairs (pairs_by_degree)
+    are spolys + spolys_rewritten; none of the three is in totals().
     """
 
     i: int
@@ -44,6 +50,9 @@ class IterationStats:
     chains: int = 0
     interreduction_steps: int = 0
     dropped: int = 0
+    pairs_f5_criterion: int = 0
+    pairs_rewritten: int = 0
+    spolys_rewritten: int = 0
 
     def to_dict(self):
         return {
@@ -58,6 +67,9 @@ class IterationStats:
             "chains": self.chains,
             "interreduction_steps": self.interreduction_steps,
             "dropped": self.dropped,
+            "pairs_f5_criterion": self.pairs_f5_criterion,
+            "pairs_rewritten": self.pairs_rewritten,
+            "spolys_rewritten": self.spolys_rewritten,
         }
 
 
@@ -182,27 +194,66 @@ class F5Engine:
     # -- Algorithm: critical pairs ------------------------------------------
 
     def critical_pair(self, k: int, l: int, i: int, prev: PrevBasis):
-        """The necessary pair {k, l}, or None when a criterion discards it."""
-        ring = self.ring
+        """The necessary pair {k, l}, or None when a criterion discards it.
+
+        The one-pair case of critical_pairs; the engine calls the batch.
+        """
+        pairs = self.critical_pairs(k, (l,), i, prev)
+        return pairs[0] if pairs else None
+
+    def critical_pairs(self, k: int, ls, i: int, prev: PrevBasis) -> list:
+        """The necessary pairs {k, l} for l in ls, in the order of ls.
+
+        k's head and signature are read once, and the lcms come from one
+        ring.lcms call.  Each pair then runs the tests in this order: the F5
+        criterion on u*sig(k), then on v*sig(l) (a signature of index i whose
+        monomial a head of the previous basis divides), then the rewritten
+        criterion on k, then on l.  The F5 tests read prev.reducers' divisor
+        cache (find_divisor's memo) and call find_divisor only on a miss.
+        The drops are counted in pairs_f5_criterion and pairs_rewritten.
+        """
+        ring, stats = self.ring, self.it_stats
         heads, sigs = self.store.heads, self.store.sigs
-        lcm_key = ring.lcm(heads[k], heads[l])
-        u1 = ring.key_div(lcm_key, heads[k])
-        u2 = ring.key_div(lcm_key, heads[l])
-        # the packed u*sig: key_mul(key_div(lcm, head), sig) in one sum
-        us1 = lcm_key - heads[k] + sigs[k]
-        us2 = lcm_key - heads[l] + sigs[l]
+        is_rewritable = self.rules.is_rewritable
+        reducers = prev.reducers
+        cache, find = reducers._cache, reducers.find_divisor
+        unit = ring.unit_key
         base = i << ring.sig_shift  # no signature index exceeds i
-        prev_heads = prev.reducers
-        if us1 >= base and prev_heads.is_top_reducible(us1 - base):
-            return None
-        if us2 >= base and prev_heads.is_top_reducible(us2 - base):
-            return None
-        rules = self.rules
-        if rules.is_rewritable(u1, sigs[k], k) or rules.is_rewritable(u2, sigs[l], l):
-            return None
-        if us1 < us2:
-            k, l, u1, u2 = l, k, u2, u1
-        return CriticalPair(lcm_key, ring.key_degree(lcm_key), k, u1, l, u2)
+        hk, sk = heads[k], sigs[k]
+        # m = u*sig - base, the packed u*sig (key_mul(key_div(lcm, head), sig))
+        # less base: its monomial's key when the index is i, negative if not
+        off_k, u_off_k = sk - hk - base, unit - hk
+        out = []
+        f5_drops = rewritten = 0
+        for l, lcm_key in zip(ls, ring.lcms(hk, [heads[l] for l in ls])):
+            m1 = lcm_key + off_k
+            if m1 >= 0:
+                cand = cache.get(m1, 0)
+                if cand == 0:
+                    cand = find(m1)
+                if cand is not None:
+                    f5_drops += 1
+                    continue
+            hl, sl = heads[l], sigs[l]
+            m2 = lcm_key - hl + sl - base
+            if m2 >= 0:
+                cand = cache.get(m2, 0)
+                if cand == 0:
+                    cand = find(m2)
+                if cand is not None:
+                    f5_drops += 1
+                    continue
+            u1, u2 = lcm_key + u_off_k, lcm_key - hl + unit
+            if is_rewritable(u1, sk, k) or is_rewritable(u2, sl, l):
+                rewritten += 1
+                continue
+            if m1 < m2:
+                out.append(CriticalPair(lcm_key, ring.key_degree(lcm_key), l, u2, k, u1))
+            else:
+                out.append(CriticalPair(lcm_key, ring.key_degree(lcm_key), k, u1, l, u2))
+        stats.pairs_f5_criterion += f5_drops
+        stats.pairs_rewritten += rewritten
+        return out
 
     # -- Algorithm: S-polynomials -------------------------------------------
 
@@ -218,10 +269,12 @@ class F5Engine:
         rules = self.rules
         sigs = store.sigs
         newpols = []
+        rewritten = 0
         for pair in sorted(pairs, key=lambda cp: (cp.lcm_key, cp.k, cp.l)):
-            if rules.is_rewritable(pair.u_key, sigs[pair.k], pair.k):
-                continue
-            if rules.is_rewritable(pair.v_key, sigs[pair.l], pair.l):
+            if rules.is_rewritable(pair.u_key, sigs[pair.k], pair.k) or rules.is_rewritable(
+                pair.v_key, sigs[pair.l], pair.l
+            ):
+                rewritten += 1
                 continue
             ek = store.entries[pair.k]
             el = store.entries[pair.l]
@@ -239,6 +292,7 @@ class F5Engine:
             self.it_stats.spolys += 1
             if s:
                 newpols.append(idx)
+        self.it_stats.spolys_rewritten += rewritten
         newpols.sort(key=sigs.__getitem__)  # stable: equal signatures keep store order
         return newpols
 
@@ -411,13 +465,11 @@ class F5Engine:
         self.rules.ensure_index(i)
         pending: dict = {}  # lcm degree -> critical pairs, popped lowest first
 
-        def add_pair(k, l):
-            cp = self.critical_pair(k, l, i, prev)
-            if cp is not None:
+        def add_pairs(k, ls):
+            for cp in self.critical_pairs(k, ls, i, prev):
                 pending.setdefault(cp.degree, []).append(cp)
 
-        for j in prev_indices:
-            add_pair(curridx, j)
+        add_pairs(curridx, prev_indices)
         while pending:
             d = min(pending)
             batch = pending.pop(d)
@@ -427,8 +479,7 @@ class F5Engine:
             todo = self.compute_spols(batch)
             survivors = self.reduction(todo, prev, curr[len(prev_indices):])
             for k in sorted(survivors):
-                for j in curr:
-                    add_pair(k, j)
+                add_pairs(k, curr)
                 curr.append(k)
         self.it_stats.basis_size = len(curr)
         return curr

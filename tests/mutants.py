@@ -72,6 +72,8 @@ KERNEL_TESTS = (  # the property tests last: shrinking a failure takes seconds
 )
 LCM_TESTS = (
     "tests/test_algebra.py::test_products_past_the_packed_degree_raise",
+    "tests/test_algebra.py::test_lcms_is_the_lcm_of_each_key",
+    "tests/test_engine.py::test_critical_pairs_raise_where_ring_lcm_does",
     "tests/test_algebra.py::test_key_divisibility_agrees_with_exponent_tuples",
 )
 GM_TESTS = ("tests/test_drivers.py::test_gebauer_moller_pair_stream_is_pinned",)
@@ -80,6 +82,12 @@ CRITERIA_TESTS = (
     "tests/test_engine.py",
     "tests/test_drivers.py",
     "tests/test_sigcore.py",
+)
+PAIR_TESTS = (  # no whole file: pytest would run its tests in file order
+    "tests/test_engine.py::test_critical_pairs_match_the_per_pair_reference",
+    "tests/test_engine.py::test_pair_drop_counters_golden",
+    "tests/test_acceptance.py::test_criterion_2_trace_fidelity",
+    "tests/test_engine.py::test_run_stats_golden",
 )
 
 MUTANTS = (
@@ -150,12 +158,49 @@ MUTANTS = (
     Mutant(
         "no-f5-criterion",
         "engine.py",
-        "        if us1 >= base and prev_heads.is_top_reducible(us1 - base):\n"
-        "            return None\n"
-        "        if us2 >= base and prev_heads.is_top_reducible(us2 - base):\n"
-        "            return None\n",
-        "",
+        "            if m1 >= 0:\n"
+        "                cand = cache.get(m1, 0)\n"
+        "                if cand == 0:\n"
+        "                    cand = find(m1)\n"
+        "                if cand is not None:\n"
+        "                    f5_drops += 1\n"
+        "                    continue\n"
+        "            hl, sl = heads[l], sigs[l]\n"
+        "            m2 = lcm_key - hl + sl - base\n"
+        "            if m2 >= 0:\n"
+        "                cand = cache.get(m2, 0)\n"
+        "                if cand == 0:\n"
+        "                    cand = find(m2)\n"
+        "                if cand is not None:\n"
+        "                    f5_drops += 1\n"
+        "                    continue\n",
+        "            hl, sl = heads[l], sigs[l]\n"
+        "            m2 = lcm_key - hl + sl - base\n",
         CRITERIA_TESTS,
+    ),
+    # -- the batch of critical pairs (F5Engine.critical_pairs)
+    Mutant(
+        "f5-criterion-on-l-dropped",
+        "engine.py",
+        "            if m2 >= 0:\n",
+        "            if False:\n",
+        PAIR_TESTS,
+    ),
+    Mutant(
+        # compute_spols still drops these pairs: the same basis, but not the
+        # same pair counts or trace
+        "rewritten-criterion-on-l-dropped",
+        "engine.py",
+        "            if is_rewritable(u1, sk, k) or is_rewritable(u2, sl, l):\n",
+        "            if is_rewritable(u1, sk, k):\n",
+        PAIR_TESTS,
+    ),
+    Mutant(
+        "pair-swap-inverted",
+        "engine.py",
+        "            if m1 < m2:\n",
+        "            if m1 > m2:\n",
+        PAIR_TESTS,
     ),
     Mutant(
         "safe-step-flipped",
@@ -272,19 +317,27 @@ MUTANTS = (
         "        _heappop(self.heap)\n",
         KERNEL_TESTS,
     ),
-    # -- the packed-key lcm (algebra.PolynomialRing.lcm)
+    # -- the packed-key lcm (algebra.PolynomialRing.lcms; lcm is its one-pair case)
     Mutant(
         "lcm-selects-minimum",
         "algebra.py",
-        "        w = wb ^ ((wa ^ wb) & m)\n",
-        "        w = wa ^ ((wa ^ wb) & m)\n",
+        "            w = wb ^ ((wa ^ wb) &",
+        "            w = wa ^ ((wa ^ wb) &",
         LCM_TESTS,
     ),
     Mutant(
         "lcm-degree-unchecked",
         "algebra.py",
-        "        self.check_degree(d)\n        if self._graded:\n",
-        "        if self._graded:\n",
+        "        self.check_degree(dmax)\n",
+        "",
+        LCM_TESTS,
+    ),
+    Mutant(
+        # lcm(a, b) alone still checks its degree; a batch checks its last lcm
+        "lcms-checks-last-degree-only",
+        "algebra.py",
+        "            if d > dmax:\n                dmax = d\n",
+        "            dmax = d\n",
         LCM_TESTS,
     ),
     # -- the oracle's Gebauer-Moller update (drivers._gm_update)

@@ -20,8 +20,11 @@ certified: 102 runs.  Run it on two trees and diff the outputs:
 
 --omit KEY drops KEY from every dict in RunStats.to_dict() before hashing,
 so a tree that adds a stats key can be compared with one that lacks it.
---quick keeps the p = 32003 runs up to katsura-5 and cyclic-5.  This file is
-not collected by pytest (its name has no test_ prefix).
+--quick keeps the p = 32003 runs up to katsura-5 and cyclic-5.  --orders
+appends katsura-3 and cyclic-4 at p = 32003 under deglex and lex (24 more
+runs, under a second), so the graded and the lex branches of the packed-key
+arithmetic are pinned too; their lines name the order.  This file is not
+collected by pytest (its name has no test_ prefix).
 """
 
 from __future__ import annotations
@@ -32,22 +35,35 @@ import json
 import sys
 
 import f5gb.drivers as drivers
+from f5gb.algebra import PolynomialRing
 from f5gb.bench import cyclic, katsura
 from f5gb.drivers import VariantConfig, run_variant
 
 SYSTEMS = {"katsura": katsura, "cyclic": cyclic}
 
 
-def run_set(quick: bool = False):
-    """(system name, n, p) for each system of the set, in output order."""
+def run_set(quick: bool = False, orders: bool = False):
+    """(system name, n, p, order) for each system of the set, in output order."""
     out = []
     for p, top in ((32003, 6), (101, 5), (7, 5)):
         if quick and p != 32003:
             continue
         top = min(top, 5) if quick else top
-        out += [("katsura", n, p) for n in range(3, top + 1)]
-        out += [("cyclic", n, p) for n in range(4, top + 1)]
+        out += [("katsura", n, p, "grevlex") for n in range(3, top + 1)]
+        out += [("cyclic", n, p, "grevlex") for n in range(4, top + 1)]
+    if orders:
+        out += [(name, n, 32003, order) for order in ("deglex", "lex")
+                for name, n in (("katsura", 3), ("cyclic", 4))]
     return out
+
+
+def system(name, n, p, order):
+    """The named system over F_p, moved to the given monomial order."""
+    F = SYSTEMS[name](n, p)
+    if order == "grevlex":
+        return F
+    ring = PolynomialRing(p, F[0].ring.names, order)
+    return [ring.from_terms(f.dict().items()) for f in F]
 
 
 def _digest(obj) -> str:
@@ -66,7 +82,7 @@ def _terms(f):
     return None if f is None else f.terms
 
 
-def digest_run(name, n, p, variant, certified, omit=()):
+def digest_run(name, n, p, variant, certified, omit=(), order="grevlex"):
     """One output line for the run."""
     engines = []
 
@@ -80,7 +96,7 @@ def digest_run(name, n, p, variant, certified, omit=()):
     drivers.F5Engine = Recorded
     try:
         cfg = VariantConfig(variant=variant, certified=certified)
-        result = run_variant(SYSTEMS[name](n, p), cfg, trace=lines.append)
+        result = run_variant(system(name, n, p, order), cfg, trace=lines.append)
     finally:
         drivers.F5Engine = real
     stats = json.dumps(_omit(result.stats.to_dict(), set(omit)), sort_keys=True)
@@ -88,8 +104,9 @@ def digest_run(name, n, p, variant, certified, omit=()):
     store = [(e.sig, e.poly.terms) for e in entries]
     cofs = [None if e.cofactors is None else [_terms(c) for c in e.cofactors] for e in entries]
     mode = "certified" if certified else "plain"
+    label = "" if order == "grevlex" else f" {order}"
     return (
-        f"{name}-{n} p={p} {variant} {mode}"
+        f"{name}-{n} p={p}{label} {variant} {mode}"
         f" basis={_digest([b.terms for b in result.basis])}"
         f" stats={_digest(stats)} trace={_digest(lines)}"
         f" store={_digest(store)} cofs={_digest(cofs)}"
@@ -101,11 +118,13 @@ def main(argv=None) -> int:
     ap.add_argument("--omit", action="append", default=[], metavar="KEY",
                     help="drop this RunStats.to_dict() key before hashing (repeatable)")
     ap.add_argument("--quick", action="store_true", help="only the small p = 32003 runs")
+    ap.add_argument("--orders", action="store_true",
+                    help="also katsura-3 and cyclic-4 under deglex and lex")
     args = ap.parse_args(argv)
-    for name, n, p in run_set(args.quick):
+    for name, n, p, order in run_set(args.quick, args.orders):
         for certified in (False, True):
             for variant in drivers.VARIANTS:
-                print(digest_run(name, n, p, variant, certified, args.omit), flush=True)
+                print(digest_run(name, n, p, variant, certified, args.omit, order), flush=True)
     return 0
 
 

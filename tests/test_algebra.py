@@ -255,6 +255,24 @@ def test_key_divisibility_agrees_with_exponent_tuples(case):
         assert ring.lcm(ka, kb) == ring.lcm(kb, ka) == ring.key(lcm)
 
 
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_lcms_is_the_lcm_of_each_key(kind):
+    # one batch against exponent tuples; a batch raises when any of its
+    # lcms does not pack, wherever that pair sits in it
+    ring = PolynomialRing(32003, ("x", "y", "z"), kind)
+    rng = random.Random(7)
+    a = (3, 0, 5)
+    bs = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(40)]
+    expected = [ring.key(monomial_lcm(a, b)) for b in bs]
+    assert ring.lcms(ring.key(a), [ring.key(b) for b in bs]) == expected
+    assert ring.lcms(ring.key(a), []) == []
+    big = ring.key((16383, 0, 2))
+    near = [ring.key(b) for b in ((0, 16382, 0), (0, 16383, 1), (1, 1, 1))]
+    with pytest.raises(ExponentOverflowError):
+        ring.lcms(big, near)
+    assert ring.lcms(big, near[::2]) == [ring.key((16383, 16382, 2)), ring.key((16383, 1, 2))]
+
+
 # ---------------------------------------------------------------------------
 # monomial lcm / division
 

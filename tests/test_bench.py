@@ -126,5 +126,8 @@ def test_stats_serialization_schema():
             "chains",
             "interreduction_steps",
             "dropped",
+            "pairs_f5_criterion",
+            "pairs_rewritten",
+            "spolys_rewritten",
         }
         assert all(isinstance(k, str) for k in it["pairs_by_degree"])

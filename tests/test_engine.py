@@ -7,7 +7,7 @@ three-generator ideal; each intermediate matches the published run.
 import pytest
 
 from f5gb.algebra import PolynomialRing, reduce_payload
-from f5gb.engine import F5Engine, IterationStats, PrevBasis, RunStats
+from f5gb.engine import CriticalPair, F5Engine, IterationStats, PrevBasis, RunStats
 from f5gb.sigcore import Signature, cofactors_scale, cofactors_sub
 from tests.conftest import poly, polys
 
@@ -364,6 +364,137 @@ def test_interreduction_counters_golden(name, variant):
     its = run_variant(F, VariantConfig(variant)).stats.iterations
     assert [it.to_dict()["interreduction_steps"] for it in its] == steps
     assert [it.to_dict()["dropped"] for it in its] == dropped
+
+
+# per iteration: candidate pairs the F5 criterion dropped, pairs the
+# rewritten criterion dropped at pair time, and pairs it dropped in
+# compute_spols.  f5r forms the pairs of f5 on the same store, so it drops
+# the same ones.
+GOLDEN_PAIR_DROPS = {
+    ("katsura-5", "f5"): ([1, 4, 17, 91, 388], [0, 0, 2, 4, 18], [0, 0, 0, 5, 3]),
+    ("katsura-5", "f5r"): ([1, 4, 17, 91, 388], [0, 0, 2, 4, 18], [0, 0, 0, 5, 3]),
+    ("katsura-5", "f5c"): ([1, 4, 17, 83, 323], [0, 0, 2, 8, 17], [0, 0, 0, 0, 1]),
+    ("cyclic-5", "f5"): ([2, 8, 59, 683], [0, 1, 6, 73], [0, 1, 4, 28]),
+    ("cyclic-5", "f5r"): ([2, 8, 59, 683], [0, 1, 6, 73], [0, 1, 4, 28]),
+    ("cyclic-5", "f5c"): ([2, 6, 45, 599], [0, 1, 8, 88], [0, 0, 0, 10]),
+}
+
+
+@pytest.mark.parametrize("name, variant", sorted(GOLDEN_PAIR_DROPS))
+def test_pair_drop_counters_golden(name, variant):
+    from f5gb.bench import cyclic, katsura
+    from f5gb.drivers import VariantConfig, run_variant
+
+    F = katsura(5) if name == "katsura-5" else cyclic(5)
+    stats = run_variant(F, VariantConfig(variant)).stats
+    its = [it.to_dict() for it in stats.iterations]
+    keys = ("pairs_f5_criterion", "pairs_rewritten", "spolys_rewritten")
+    assert tuple([it[key] for it in its] for key in keys) == GOLDEN_PAIR_DROPS[name, variant]
+    # every kept pair is either made into an S-polynomial or rewritten there
+    for it in its:
+        assert sum(it["pairs_by_degree"].values()) == it["spolys"] + it["spolys_rewritten"]
+    assert set(stats.totals()) == {"pairs", "spolys", "reduction_steps", "zero_reductions"}
+
+
+def per_pair_critical_pair(engine, k, l, i, prev):
+    """Reference for F5Engine.critical_pairs: one pair, one call chain.
+
+    Returns (pair or None, reason), reason naming the criterion that
+    dropped the pair ("f5" or "rewritten"), or None for a kept pair.
+    """
+    ring = engine.ring
+    heads, sigs = engine.store.heads, engine.store.sigs
+    lcm_key = ring.lcm(heads[k], heads[l])
+    u1 = ring.key_div(lcm_key, heads[k])
+    u2 = ring.key_div(lcm_key, heads[l])
+    us1 = ring.key_mul(u1, sigs[k])
+    us2 = ring.key_mul(u2, sigs[l])
+    base = i << ring.sig_shift
+    for us in (us1, us2):
+        if us >= base and prev.reducers.is_top_reducible(us - base):
+            return None, "f5"
+    rules = engine.rules
+    if rules.is_rewritable(u1, sigs[k], k) or rules.is_rewritable(u2, sigs[l], l):
+        return None, "rewritten"
+    if us1 < us2:
+        k, l, u1, u2 = l, k, u2, u1
+    return CriticalPair(lcm_key, ring.key_degree(lcm_key), k, u1, l, u2), None
+
+
+def _pair_fields(cp):
+    return (cp.lcm_key, cp.degree, cp.k, cp.u_key, cp.l, cp.v_key)
+
+
+def test_critical_pairs_match_the_per_pair_reference(monkeypatch):
+    # every batch of real runs, in every variant, keeps the pairs the
+    # per-pair reference keeps, in the same order and with the same fields,
+    # and counts the reference's drops by criterion
+    from f5gb.bench import cyclic, katsura
+    from f5gb.drivers import VARIANTS, VariantConfig, run_variant
+
+    seen = {"batches": 0, "f5": 0, "rewritten": 0, "kept": 0, "swapped": 0}
+    batch = F5Engine.critical_pairs
+
+    def checked(self, k, ls, i, prev):
+        expected = [per_pair_critical_pair(self, k, l, i, prev) for l in ls]
+        stats = self.it_stats
+        before = stats.pairs_f5_criterion, stats.pairs_rewritten
+        pairs = batch(self, k, ls, i, prev)
+        kept = [cp for cp, _ in expected if cp is not None]
+        assert [_pair_fields(cp) for cp in pairs] == [_pair_fields(cp) for cp in kept]
+        reasons = [reason for _, reason in expected]
+        assert stats.pairs_f5_criterion - before[0] == reasons.count("f5")
+        assert stats.pairs_rewritten - before[1] == reasons.count("rewritten")
+        seen["batches"] += 1
+        seen["f5"] += reasons.count("f5")
+        seen["rewritten"] += reasons.count("rewritten")
+        seen["kept"] += len(kept)
+        seen["swapped"] += sum(cp.k != k for cp in kept)
+        return pairs
+
+    monkeypatch.setattr(F5Engine, "critical_pairs", checked)
+    systems = [katsura(4), katsura(5), cyclic(4), cyclic(5), unsafe_system()]
+    for order in ("lex", "deglex"):
+        ring = PolynomialRing(101, ("x", "y", "z"), order)
+        systems.append(polys(ring, "x^2 - y*z", "y^2 - x*z", "z^2 - x*y"))
+    for F in systems:
+        for variant in VARIANTS:
+            run_variant(F, VariantConfig(variant))
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("order", ["grevlex", "deglex", "lex"])
+def test_critical_pairs_raise_where_ring_lcm_does(order):
+    # heads near the packed-degree limit: lcm(x^16383*z^2, y^16382) has
+    # degree 32767 and packs, lcm(x^16383*z^2, y^16383*z) has degree 32768
+    from f5gb.algebra import ExponentOverflowError
+
+    ring = PolynomialRing(101, ("x", "y", "z"), order)
+    engine = F5Engine(ring, stats=RunStats("f5", 101, order))
+    engine.begin_iteration(2)
+    for text, index in [("x*y", 1), ("y^16382", 1), ("y^16383*z", 1), ("z^3", 1),
+                        ("x^16383*z^2", 2)]:
+        engine.store.append(Signature(ring, ring.unit_key, index).packed, poly(ring, text))
+    k, ls = 5, [1, 2, 3, 4]
+    prev = PrevBasis(ring, [poly(ring, "x*y")])
+    heads = engine.store.heads
+    overflows = []
+    for l in ls:
+        try:
+            ring.lcm(heads[k], heads[l])
+        except ExponentOverflowError:
+            overflows.append(l)
+    assert overflows == [3]
+    for l in ls:
+        if l in overflows:
+            with pytest.raises(ExponentOverflowError):
+                engine.critical_pair(k, l, 2, prev)
+        else:
+            engine.critical_pair(k, l, 2, prev)
+    with pytest.raises(ExponentOverflowError):
+        engine.critical_pairs(k, ls, 2, prev)
+    kept = engine.critical_pairs(k, [1, 2, 4], 2, prev)
+    assert [cp.degree for cp in kept] == [16386, 32767, 16386]
 
 
 def _is_normal_form(reducers, f):
