@@ -10,7 +10,8 @@ Run: python demos/certified_signatures.py
 
 from f5gb import PolynomialRing, Signature, VariantConfig, admissible_check, f5, sig_cmp
 from f5gb.cli import parse_polynomial
-from f5gb.engine import F5Engine, PrevBasis, RunStats
+from f5gb.algebra import ReducerSet
+from f5gb.engine import F5Engine, RunStats
 from f5gb.sigcore import LabeledPolynomial
 
 ring = PolynomialRing(32003, ("x", "y"), "grevlex")
@@ -49,7 +50,7 @@ fs = sorted(F, key=lambda f: (f.degree(), f.lt_key()))
 engine.store.add_input(fs[0])
 engine.begin_iteration(2)
 engine.store.add_input(fs[1])
-engine.incremental_basis(2, PrevBasis(hring, [fs[0]]), [1])
+engine.incremental_basis(2, ReducerSet(hring, [fs[0]]), [1])
 print("\nrewrite rules recorded for signature index 2:")
 for mono, idx in engine.rules.rules_for(2):
     print(f"  ({hring.render_monomial(mono) or '1'}, store entry {idx})")

@@ -623,14 +623,23 @@ class ReducerSet:
     same basis amortizes the divisor search.  Ties between several dividing
     heads go to the largest by default (prefer=-1 selects the smallest
     instead); any choice yields the same normal form.  eliminations counts
-    the eliminations of every fold against the set.
+    the eliminations of every fold against the set.  cofactors, when given,
+    lists one cofactor vector (or None) per element of polys over some
+    reference system; zero polynomials are dropped with their vectors, a
+    length mismatch raises ValueError, and reduce_payload reads the vectors.
     """
 
-    __slots__ = ("ring", "polys", "eliminations", "_keys", "_cands", "_cache", "_prefer")
+    __slots__ = (
+        "ring", "polys", "cofactors", "eliminations", "_keys", "_cands", "_cache", "_prefer"
+    )
 
-    def __init__(self, ring: PolynomialRing, polys, prefer: int = 1):
+    def __init__(self, ring: PolynomialRing, polys, prefer: int = 1, cofactors=None):
         self.ring = ring
+        polys = list(polys)
+        if cofactors is not None:
+            cofactors = [c for g, c in zip(polys, cofactors, strict=True) if g]
         self.polys = [g for g in polys if g]
+        self.cofactors = cofactors
         self.eliminations = 0
         self._prefer = prefer
         order = sorted(range(len(self.polys)), key=lambda i: self.polys[i].lt_key())
@@ -829,18 +838,18 @@ def subtract_quotients(ring: PolynomialRing, cofs, quotients, basis_cofs):
     return out
 
 
-def reduce_payload(reducers, poly: Polynomial, cofs, basis_cofs, stats):
-    """(h, cofs - sum_j q_j * basis_cofs[j]) for h = reducers.reduce_full(poly).
+def reduce_payload(reducers, poly: Polynomial, cofs, stats):
+    """(h, cofs - sum_j q_j * reducers.cofactors[j]) for h = reducers.reduce_full(poly).
 
     The q_j are the quotients reduce_full records against reducers.polys,
-    whose cofactor vectors basis_cofs lists in the same order (see
+    whose cofactor vectors reducers.cofactors lists in the same order (see
     subtract_quotients); cofs None passes through.
     """
     if cofs is None:
         return reducers.reduce_full(poly, stats=stats), None
     quotients = [dict() for _ in reducers.polys]
     h = reducers.reduce_full(poly, stats=stats, quotients=quotients)
-    return h, subtract_quotients(reducers.ring, cofs, quotients, basis_cofs)
+    return h, subtract_quotients(reducers.ring, cofs, quotients, reducers.cofactors)
 
 
 def normal_form(p: Polynomial, G, stats=None) -> Polynomial:
@@ -879,28 +888,26 @@ def reduced_basis(G, cofs, stats=None):
     """Head minimization, then one tail pass against one shared ReducerSet.
 
     cofs lists one cofactor vector, or None, per element of G (another
-    length raises ValueError).  Returns (result, result_cofs, dropped):
-    result lists the kept elements, monic with pairwise indivisible heads
-    and ascending, each with its tail fully reduced, result_cofs their
-    cofactor vectors (None for None), and dropped the elements head
-    minimization removed.  For a Groebner basis G, result is its reduced
-    basis and every dropped element reduces to zero against it; nothing
-    here checks that (interreduce and interreduce_with_cofactors do).  With
-    stats, stats.interreduction_steps counts the tail pass's eliminations
-    and stats.dropped the removed elements.
+    length raises ValueError).  Returns (reducers, dropped): reducers is
+    the shared set, whose polys lists the kept elements, monic with
+    pairwise indivisible heads and ascending, each with its tail fully
+    reduced, and whose cofactors lists their vectors (None for None);
+    dropped lists the elements head minimization removed.  The set's
+    divisor cache stays valid, so it can serve as a reduction target
+    next.  For a Groebner basis G, reducers.polys is its reduced basis and
+    every dropped element reduces to zero against it; nothing here checks
+    that (interreduce and interreduce_with_cofactors do).  With stats,
+    stats.interreduction_steps counts the tail pass's eliminations and
+    stats.dropped the removed elements.
     """
     live = sorted(
         ((g, c) for g, c in zip(G, cofs, strict=True) if g), key=lambda t: t[0].lt_key()
     )
-    if not live:
-        return [], [], []
-    ring = live[0][0].ring
+    ring = G[0].ring if G else None  # an empty set never reads its ring
     # head minimization: for a Groebner basis, elements whose head another
     # head divides reduce to zero against the rest and can be dropped; a kept
     # element is made monic, and its vector is scaled by the same 1/lc
-    kept = []
-    kcofs = []
-    dropped = []
+    kept, kcofs, dropped = [], [], []
     for g, c in live:
         if any(ring.divides(h.lt_key(), g.lt_key()) for h in kept):
             dropped.append(g)
@@ -912,31 +919,21 @@ def reduced_basis(G, cofs, stats=None):
     # indivisible, so only tail monomials ever reduce, and any fixpoint with
     # these heads is the canonical reduced basis.  Tails go in ascending
     # head order, and every reducer of a tail has a smaller head, so each
-    # element's reduced tail and vector replace its candidate's (kept
-    # ascends, so candidate i is kept[i]) before any tail can use them; a
-    # cached lookup that returns candidate i is made while reducing a later
-    # element, after the replacement, so the divisor cache stays valid.
-    shared = ReducerSet(ring, kept)
-    cands = shared._cands
-    result = []
-    for i, g in enumerate(kept):
-        tail, kcofs[i] = reduce_payload(
-            shared, Polynomial(ring, g.terms[1:]), kcofs[i], kcofs, None
-        )
+    # element's reduced tail goes into its candidate and its polynomial, and
+    # its reduced vector into its vector (kept ascends, so candidate i is
+    # kept[i]), before any tail can use them; a cached lookup that returns
+    # candidate i is made while reducing a later element, after the
+    # replacement, so the divisor cache stays valid.
+    shared = ReducerSet(ring, kept, cofactors=kcofs)
+    polys, vecs, cands = shared.polys, shared.cofactors, shared._cands
+    for i, g in enumerate(polys):
+        tail, vecs[i] = reduce_payload(shared, Polynomial(ring, g.terms[1:]), vecs[i], None)
         cands[i] = cands[i][:4] + (tail.terms,)
-        result.append(Polynomial(ring, g.terms[:1] + tail.terms))
+        polys[i] = Polynomial(ring, g.terms[:1] + tail.terms)
     if stats is not None:
         stats.interreduction_steps += shared.eliminations
         stats.dropped += len(dropped)
-    return result, kcofs, dropped
-
-
-def _reduce_to_zero(polys, G) -> bool:
-    """True when every polynomial in polys reduces to zero against G."""
-    if not polys:
-        return True
-    reducers = ReducerSet(polys[0].ring, G)
-    return not any(reducers.reduce_full(f) for f in polys)
+    return shared, dropped
 
 
 def interreduce(G):
@@ -949,8 +946,8 @@ def interreduce(G):
     elements do not reduce to zero against reduced_basis's result falls
     back to a fixpoint interreduction.
     """
-    result, _, dropped = reduced_basis(G, [None] * len(G))
-    return result if _reduce_to_zero(dropped, result) else _autoreduce(G)
+    reducers, dropped = reduced_basis(G, [None] * len(G))
+    return _autoreduce(G) if any(map(reducers.reduce_full, dropped)) else reducers.polys
 
 
 def interreduce_with_cofactors(G, cofs):
@@ -961,10 +958,10 @@ def interreduce_with_cofactors(G, cofs):
     over it (None where the input vectors are None).  G must be a Groebner
     basis and cofs as long as G: other input raises ValueError.
     """
-    result, result_cofs, dropped = reduced_basis(G, cofs)
-    if not _reduce_to_zero(dropped, result):
+    reducers, dropped = reduced_basis(G, cofs)
+    if any(map(reducers.reduce_full, dropped)):
         raise ValueError("interreduce_with_cofactors needs a Groebner basis")
-    return result, result_cofs
+    return reducers.polys, reducers.cofactors
 
 
 def homogenize(polys, var: str = "h"):

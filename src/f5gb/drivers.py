@@ -1,24 +1,26 @@
 """Top-level basis computations: F5, F5R, F5C, and the Buchberger oracle.
 
 The three signature-based variants share one driver skeleton and differ only
-in how the previous basis is carried between iterations:
+in the ReducerSet the next iteration reduces against, which each iteration
+carries forward at its end:
 
-* f5  keeps the raw store polynomials,
-* f5r reduces against the interreduced basis but keeps pairs/signatures on
-  the raw store (identical pair and S-polynomial stream to f5); one
-  reduced_basis call carries the cofactor vectors through the
-  interreduction, or passes a plain run's None through,
-* f5c rebuilds the store and rewrite rules around the reduced basis after
-  every iteration, so later iterations see fewer generators.
+* f5  adds its new raw store polynomials to it,
+* f5r passes its reduced basis plus the new elements, with their cofactor
+  vectors (a plain run's None), through reduced_basis but keeps
+  pairs/signatures on the raw store (identical pair and S-polynomial stream
+  to f5),
+* f5c does the same in setup_reduced_basis, which also rebuilds the store
+  and rewrite rules around the reduced basis, so later iterations see fewer
+  generators.
 
-Both rebuilds build the reduced basis once with reduced_basis, which does not
-check that the elements it drops reduce to zero: the F5 theorem makes each
-iteration's basis a Groebner basis, and a run's result is checked where it is
-used (groebner_check, the oracle, the acceptance and sympy tests).
+reduced_basis does not check that the elements it drops reduce to zero: the
+F5 theorem makes each iteration's basis a Groebner basis, and a run's result
+is checked where it is used (groebner_check, the oracle, the acceptance and
+sympy tests).
 
 buchberger_reduced is the correctness oracle: a Buchberger loop under the
 Gebauer-Moller criteria.  It shares no signature code with the engine, but it
-does share the polynomial layer: packed-key arithmetic (ring.lcm and
+does share the polynomial layer: packed-key arithmetic (ring.lcms and
 ring.divides), ReducerSet and interreduce.  tests/test_sympy_differential.py
 checks both against sympy, which shares none of that code.
 """
@@ -40,7 +42,7 @@ from .algebra import (
     reduced_basis,
     spoly,
 )
-from .engine import F5Engine, PrevBasis, RunStats
+from .engine import F5Engine, RunStats
 
 VARIANTS = ("f5", "f5r", "f5c")
 
@@ -88,22 +90,26 @@ def _prepare_inputs(F, variant: str):
 
 
 def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False):
-    """Swap the store's contents for the interreduced basis of curr.
+    """Swap the store's contents for the reduced basis of curr; return its ReducerSet.
 
-    reduced_basis builds it once, counting on the iteration's stats.  The
-    store is reset to (e_j, B_j) for the reduced basis B, which becomes
-    the reference system; the rule table is cleared, and (unless
+    reduced_basis builds the set once, counting on the iteration's stats.
+    The store is reset to (e_j, B_j) for the reduced basis B (the set's
+    polys), which becomes the reference system, and the set's cofactors
+    become the store's vectors of B: unit vectors in certified runs, None
+    in plain ones.  The rule table is cleared, and (unless
     skip_rule_rebuild) each Rules_j receives one phantom rule per smaller
     index, recording that the S-polynomials of B already reduce to zero.
-    Returns the new index set 1..#B.
+    B's store indices are 1..#B.
     """
     ring = engine.ring
     store = engine.store
     # indexed, so no list of old polynomials outlives store.reset()
-    B = reduced_basis([store.poly(k) for k in curr], [None] * len(curr), engine.it_stats)[0]
+    reducers = reduced_basis([store.poly(k) for k in curr], [None] * len(curr), engine.it_stats)[0]
+    B = reducers.polys
     store.reset()
     for b in B:
         store.add_input(b)
+    reducers.cofactors = [e.cofactors for e in store.entries[1:]]
     engine.rules.reset(len(B))
     if not skip_rule_rebuild:
         heads = [b.lt_key() for b in B]
@@ -112,17 +118,7 @@ def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False)
             for k in range(j + 1, len(B)):
                 u = ring.key_div(ring.lcm(t, heads[k]), heads[k])
                 engine.rules.add_rule((k + 1) << ring.sig_shift | u, 0)
-    return list(range(1, len(B) + 1))
-
-
-def _prev_bundle(engine: F5Engine, variant: str, prev_indices):
-    """Build the PrevBasis a new iteration reduces against."""
-    store = engine.store
-    polys = [store.poly(k) for k in prev_indices]
-    cofs = [store.entry(k).cofactors for k in prev_indices]
-    if variant == "f5r":
-        polys, cofs, _ = reduced_basis(polys, cofs, engine.it_stats)
-    return PrevBasis(engine.ring, polys, cofs)
+    return reducers
 
 
 def run_variant(F, config: VariantConfig, trace=None) -> BasisResult:
@@ -139,21 +135,33 @@ def run_variant(F, config: VariantConfig, trace=None) -> BasisResult:
     )
     store = engine.store
     indices = [store.add_input(fs[0])]
+    prev = ReducerSet(ring, [fs[0]], cofactors=[store.entry(1).cofactors])
     reduced = variant == "f5c" or len(fs) == 1
     for ordinal in range(2, len(fs) + 1):
         engine.begin_iteration(ordinal)
         engine.emit(f"Iteration {ordinal}")
-        prev = _prev_bundle(engine, variant, indices)
         new = store.add_input(fs[ordinal - 1])
+        old = len(indices)
         indices = engine.incremental_basis(store.sig(new).index, prev, indices)
         engine.emit(f"{len(indices)} polynomials in basis")
         if any(store.poly(k).is_unit() for k in indices):
             basis, reduced = [ring.one], True
             break
         if variant == "f5c":
-            indices = setup_reduced_basis(
-                engine, indices, skip_rule_rebuild=config.skip_rule_rebuild
-            )
+            prev = setup_reduced_basis(engine, indices, config.skip_rule_rebuild)
+            indices = list(range(1, len(prev.polys) + 1))
+        elif ordinal < len(fs):
+            # carry prev forward, its vectors padded to the reference system
+            width = len(store.reference_system)
+            polys = prev.polys + [store.poly(k) for k in indices[old:]]
+            cofs = [c if c is None else c + [ring.zero] * (width - len(c))
+                    for c in prev.cofactors]
+            cofs += [store.entry(k).cofactors for k in indices[old:]]
+            if variant == "f5":
+                prev = ReducerSet(ring, polys, cofactors=cofs)
+            else:
+                prev = reduced_basis(polys, cofs, engine.it_stats)[0]
+            del polys, cofs  # f5r's last basis must not live through the iteration
     else:
         basis = [store.poly(k) for k in indices]
     stats.basis_size_final = len(basis)
@@ -204,15 +212,16 @@ def _gm_update(G, pairs, h, serial):
     ring = h[0].ring
     ht = h[1]
     divides, lcm = ring.divides, ring.lcm
-    # new pairs (h, g): the chain criterion drops a pair whose lcm another
-    # new pair's lcm divides; among equal lcms the last one stays.  Coprime
-    # pairs take part in the chain test and then go (product criterion); a
-    # pair is coprime iff its lcm key is the product key, because
-    # ka + kb - unit_key - lcm is the key offset of the gcd.
-    C = []
-    for g in G:
-        m = lcm(ht, g[1])
-        C.append((m, m == ring.key_mul(ht, g[1]), g))
+    # new pairs (h, g), their lcms from one ring.lcms call: the chain
+    # criterion drops a pair whose lcm another new pair's lcm divides; among
+    # equal lcms the last one stays.  Coprime pairs take part in the chain
+    # test and then go (product criterion); a pair is coprime iff its lcm
+    # key is the product key, because ka + kb - unit_key - lcm is the key
+    # offset of the gcd.
+    C = [
+        (m, m == ring.key_mul(ht, g[1]), g)
+        for m, g in zip(ring.lcms(ht, [g[1] for g in G]), G)
+    ]
     D = []
     for i, c in enumerate(C):
         m = c[0]

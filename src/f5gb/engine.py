@@ -30,13 +30,14 @@ class IterationStats:
     chain of safe_steps, which ends with no reductor, at zero, or at one of
     the unsafe_splits.  interreduction_steps counts the eliminations of an
     F5R or F5C rebuild's tail pass and dropped the elements its head
-    minimization removed (f5r rebuilds the previous basis at the start of
-    iteration i, f5c the new one at its end); neither is part of
-    reduction_steps or totals().  pairs_f5_criterion and pairs_rewritten
-    count the candidate pairs critical_pairs drops by the F5 criterion and
-    by the rewritten criterion, and spolys_rewritten the kept pairs
-    compute_spols drops as rewritten, so the kept pairs (pairs_by_degree)
-    are spolys + spolys_rewritten; none of the three is in totals().
+    minimization removed (both rebuild reduced(B_{i-1}) plus the new
+    elements at the end of iteration i, and f5r skips the last
+    iteration's); neither is part of reduction_steps or totals().
+    pairs_f5_criterion and pairs_rewritten count the candidate pairs
+    critical_pairs drops by the F5 criterion and by the rewritten
+    criterion, and spolys_rewritten the kept pairs compute_spols drops as
+    rewritten, so the kept pairs (pairs_by_degree) are spolys +
+    spolys_rewritten; none of the three is in totals().
     """
 
     i: int
@@ -149,21 +150,6 @@ class CriticalPair:
         )
 
 
-class PrevBasis:
-    """The previous iteration's basis: reduction target plus criterion heads.
-
-    cofactors lists each basis polynomial's module representation over the
-    run's reference system (certified mode); plain runs carry None.
-    """
-
-    __slots__ = ("polys", "reducers", "cofactors")
-
-    def __init__(self, ring: PolynomialRing, polys, cofactors=None):
-        self.polys = list(polys)
-        self.reducers = ReducerSet(ring, self.polys)
-        self.cofactors = cofactors
-
-
 class F5Engine:
     """Store, rules, and the per-iteration pair/reduce loop."""
 
@@ -193,7 +179,7 @@ class F5Engine:
 
     # -- Algorithm: critical pairs ------------------------------------------
 
-    def critical_pair(self, k: int, l: int, i: int, prev: PrevBasis):
+    def critical_pair(self, k: int, l: int, i: int, prev: ReducerSet):
         """The necessary pair {k, l}, or None when a criterion discards it.
 
         The one-pair case of critical_pairs; the engine calls the batch.
@@ -201,22 +187,21 @@ class F5Engine:
         pairs = self.critical_pairs(k, (l,), i, prev)
         return pairs[0] if pairs else None
 
-    def critical_pairs(self, k: int, ls, i: int, prev: PrevBasis) -> list:
+    def critical_pairs(self, k: int, ls, i: int, prev: ReducerSet) -> list:
         """The necessary pairs {k, l} for l in ls, in the order of ls.
 
         k's head and signature are read once, and the lcms come from one
         ring.lcms call.  Each pair then runs the tests in this order: the F5
         criterion on u*sig(k), then on v*sig(l) (a signature of index i whose
         monomial a head of the previous basis divides), then the rewritten
-        criterion on k, then on l.  The F5 tests read prev.reducers' divisor
+        criterion on k, then on l.  The F5 tests read prev's divisor
         cache (find_divisor's memo) and call find_divisor only on a miss.
         The drops are counted in pairs_f5_criterion and pairs_rewritten.
         """
         ring, stats = self.ring, self.it_stats
         heads, sigs = self.store.heads, self.store.sigs
         is_rewritable = self.rules.is_rewritable
-        reducers = prev.reducers
-        cache, find = reducers._cache, reducers.find_divisor
+        cache, find = prev._cache, prev.find_divisor
         unit = ring.unit_key
         base = i << ring.sig_shift  # no signature index exceeds i
         hk, sk = heads[k], sigs[k]
@@ -298,7 +283,7 @@ class F5Engine:
 
     # -- Algorithm: reduction -----------------------------------------------
 
-    def reduction(self, todo, prev: PrevBasis, curr) -> list:
+    def reduction(self, todo, prev: ReducerSet, curr) -> list:
         """Reduce queued S-polynomials; returns survivors in completion order.
 
         Each S-polynomial is first normal-formed against the previous basis
@@ -314,9 +299,7 @@ class F5Engine:
         store = self.store
         for j in todo:
             entry = store.entries[j]
-            h, cof = reduce_payload(
-                prev.reducers, entry.poly, entry.cofactors, prev.cofactors, self.it_stats
-            )
+            h, cof = reduce_payload(prev, entry.poly, entry.cofactors, self.it_stats)
             store.set_poly(j, h, cof)
         sigs = store.sigs
         queue = [(sigs[j], j) for j in todo]
@@ -330,7 +313,7 @@ class F5Engine:
                 heappush(queue, (sigs[j], j))
         return done
 
-    def top_reduction(self, k: int, prev: PrevBasis, curr, done):
+    def top_reduction(self, k: int, prev: ReducerSet, curr, done):
         """Run store entry k through its whole chain of safe top reductions.
 
         Returns (completed, redo): ((k,), ()) once no reductor is left, with
@@ -357,8 +340,7 @@ class F5Engine:
         sig_k, cof = store.sigs[k], entry.cofactors
         if not entry.poly:
             return self._zero_result()
-        reducers = prev.reducers
-        quotients = None if cof is None else [{} for _ in reducers.polys]
+        quotients = None if cof is None else [{} for _ in prev.polys]
         multiples: dict = {}  # reductor j -> {u key: c}: the chain subtracts c*u*r_j
 
         def chain_cofactors(inv):  # inv * (k's vector - the chain's subtractions)
@@ -396,7 +378,7 @@ class F5Engine:
             if cof is not None:  # heads descend, so u is new for j
                 multiples.setdefault(j, {})[u_key] = c
             h.drop_head()
-            reducers.fold_normal_form(
+            prev.fold_normal_form(
                 h, u_key - ring.unit_key, ring.p - c, rterms[1:], stats, quotients
             )
             stats.reduction_steps += 1
@@ -423,19 +405,19 @@ class F5Engine:
         self.emit("Reduction to zero!")
         return (), ()
 
-    def find_reductor(self, k: int, head: int, prev: PrevBasis, curr, done):
+    def find_reductor(self, k: int, head: int, prev: ReducerSet, curr, done):
         """First candidate (insertion order) passing the three safety tests.
 
         head keys the head of k's in-flight payload, which the store does not
         hold during a chain of safe steps.  curr and done hold nonzero entries
         of this iteration only.  That payload is a normal form against
-        prev.reducers, whose heads span the head ideal of the previous basis
+        prev, whose heads span the head ideal of the previous basis
         (raw, interreduced or reduced alike), so no head of it divides head.
         """
         ring = self.ring
         heads, words, sigs = self.store.heads, self.store.words, self.store.sigs
         is_rewritable = self.rules.is_rewritable
-        is_top_reducible = prev.reducers.is_top_reducible
+        is_top_reducible = prev.is_top_reducible
         sig_k, mask, g = sigs[k], ring.sig_mask, ring.guard
         target = ring.word(head) | g
         for j in chain(curr, done):
@@ -453,12 +435,16 @@ class F5Engine:
 
     # -- Algorithm: one incremental iteration --------------------------------
 
-    def incremental_basis(self, i: int, prev: PrevBasis, prev_indices) -> list:
-        """Extend prev (a basis of the first i-1 inputs) by the newest input.
+    def incremental_basis(self, i: int, prev: ReducerSet, prev_indices) -> list:
+        """Extend a basis of the first i-1 inputs by the newest input.
 
-        The newest input must already sit at the top of the store with
-        signature index i.  Returns the store indices of a Groebner basis of
-        the enlarged ideal, in insertion order.
+        prev_indices are the basis's store entries, and prev is the
+        ReducerSet that S-polynomials are normal-formed against: a basis of
+        the same ideal (raw, interreduced or reduced), carrying its
+        elements' cofactor vectors.  The newest input must already sit at
+        the top of the store with signature index i.  Returns the store
+        indices of a Groebner basis of the enlarged ideal, in insertion
+        order.
         """
         curridx = self.store.size
         curr = list(prev_indices) + [curridx]

@@ -49,12 +49,18 @@ COFACTOR_TESTS = (
     "tests/test_algebra.py::test_interreduce_with_cofactors_on_raw_f5_basis",
     "tests/test_algebra.py::test_interreduce_with_cofactors_rejects_non_groebner_input",
     "tests/test_algebra.py::test_reduced_basis_fixed_cases",
-    "tests/test_algebra.py::test_reduce_payload_rejects_a_basis_missing_a_cofactor_vector",
+    "tests/test_algebra.py::test_reducer_set_rejects_a_cofactor_list_of_the_wrong_length",
     "tests/test_sympy_differential.py::test_certificates_hold_in_sympy",
 )
 TAIL_PASS_TESTS = (
     "tests/test_engine.py::test_interreduction_counters_golden",
     "tests/test_algebra.py::test_reduced_basis_fixed_cases",
+)
+CARRY_TESTS = (
+    "tests/test_engine.py::test_interreduction_counters_golden",
+    "tests/test_engine.py::test_run_stats_golden",
+    "tests/test_drivers.py::test_rebuilds_carry_their_one_reducer_set",
+    "tests/test_sympy_differential.py::test_certificates_hold_in_sympy",
 )
 INTERREDUCE_TESTS = (
     "tests/test_algebra.py::test_interreduce_trivial_cases",
@@ -110,14 +116,14 @@ MUTANTS = (
     Mutant(
         "tails-reduce-against-unscaled-vectors",
         "algebra.py",
-        "Polynomial(ring, g.terms[1:]), kcofs[i], kcofs, None",
-        "Polynomial(ring, g.terms[1:]), kcofs[i], cofs, None",
+        "    shared = ReducerSet(ring, kept, cofactors=kcofs)\n",
+        "    shared = ReducerSet(ring, kept, cofactors=cofs)\n",
         COFACTOR_TESTS,
     ),
     Mutant(
         "non-groebner-input-accepted",
         "algebra.py",
-        "    if not _reduce_to_zero(dropped, result):\n"
+        "    if any(map(reducers.reduce_full, dropped)):\n"
         "        raise ValueError(\"interreduce_with_cofactors needs a Groebner basis\")\n",
         "",
         COFACTOR_TESTS,
@@ -126,8 +132,8 @@ MUTANTS = (
         # each element keeps the vector it came in with, for later tails too
         "tail-vector-not-replaced",
         "algebra.py",
-        "        tail, kcofs[i] = reduce_payload(\n",
-        "        tail, _ = reduce_payload(\n",
+        "        tail, vecs[i] = reduce_payload(",
+        "        tail, _ = reduce_payload(",
         COFACTOR_TESTS,
     ),
     # -- the tail pass (algebra.reduced_basis) and the public check around it
@@ -141,6 +147,15 @@ MUTANTS = (
         TAIL_PASS_TESTS,
     ),
     Mutant(
+        # the set keeps the elements' raw tails, though its candidates reduce
+        # with the reduced ones: f5c stores a basis that is not reduced
+        "reduced-polys-not-stored",
+        "algebra.py",
+        "        polys[i] = Polynomial(ring, g.terms[:1] + tail.terms)\n",
+        "",
+        TAIL_PASS_TESTS,
+    ),
+    Mutant(
         "eliminations-not-counted",
         "algebra.py",
         "        self.eliminations += steps\n",
@@ -150,9 +165,45 @@ MUTANTS = (
     Mutant(
         "public-interreduce-skips-check",
         "algebra.py",
-        "    return result if _reduce_to_zero(dropped, result) else _autoreduce(G)\n",
-        "    return result\n",
+        "    return _autoreduce(G) if any(map(reducers.reduce_full, dropped))"
+        " else reducers.polys\n",
+        "    return reducers.polys\n",
         INTERREDUCE_TESTS,
+    ),
+    # -- the reduction target each iteration carries forward
+    #    (drivers.run_variant and setup_reduced_basis, algebra.ReducerSet)
+    Mutant(
+        # f5r reduces against its raw basis, as f5 does: the same bases, but
+        # f5's reduction steps and no interreduction
+        "f5r-carries-raw-basis",
+        "drivers.py",
+        "            if variant == \"f5\":\n",
+        "            if True:\n",
+        CARRY_TESTS,
+    ),
+    Mutant(
+        # the carried vectors keep the length of the iteration they were
+        # made in, one entry short of the reference system
+        "carried-vectors-unpadded",
+        "drivers.py",
+        "c if c is None else c + [ring.zero] * (width - len(c))",
+        "c",
+        CARRY_TESTS,
+    ),
+    Mutant(
+        # f5c's next target keeps the [None] vectors the rebuild ran with
+        "rebuilt-set-keeps-plain-vectors",
+        "drivers.py",
+        "    reducers.cofactors = [e.cofactors for e in store.entries[1:]]\n",
+        "",
+        CARRY_TESTS,
+    ),
+    Mutant(
+        "reducer-set-accepts-wrong-length",
+        "algebra.py",
+        "zip(polys, cofactors, strict=True)",
+        "zip(polys, cofactors)",
+        COFACTOR_TESTS,
     ),
     # -- the criteria
     Mutant(

@@ -987,18 +987,25 @@ def test_working_payload_reads_and_drops_its_head():
     assert payload.head() is None and payload.poly() == ring.zero
 
 
-def test_reduce_payload_rejects_a_basis_missing_a_cofactor_vector():
+def test_reducer_set_rejects_a_cofactor_list_of_the_wrong_length():
     ring = PolynomialRing(32003, ("x", "y"))
     x, y = P(ring, (1, (1, 0))), P(ring, (1, (0, 1)))
-    reducers = ReducerSet(ring, [x, y])
+    unit = [[ring.one, ring.zero], [ring.zero, ring.one]]
+    reducers = ReducerSet(ring, [x, y], cofactors=unit)
     f = P(ring, (1, (1, 1)), (1, (0, 2)))  # x*y + y^2: both quotients are y
     # over the system (x, y): f = y*x + y*y
-    h, cofs = reduce_payload(reducers, f, [y, y], [[ring.one, ring.zero], [ring.zero, ring.one]], None)
+    h, cofs = reduce_payload(reducers, f, [y, y], None)
     assert h.is_zero() and cofs == [ring.zero, ring.zero]
-    assert reduce_payload(reducers, f, None, None, None) == (h, None)
+    assert reduce_payload(reducers, f, None, None) == (h, None)
     # without y's vector, the quotient against y would be dropped silently
     with pytest.raises(ValueError):
-        reduce_payload(reducers, f, [y, y], [[ring.one, ring.zero]], None)
+        ReducerSet(ring, [x, y], cofactors=unit[:1])
+    # a zero polynomial is dropped with its vector, so the rest stay aligned
+    padded = ReducerSet(ring, [x, ring.zero, y], cofactors=[unit[0], [y, x], unit[1]])
+    assert padded.polys == [x, y] and padded.cofactors == unit
+    assert reduce_payload(padded, f, [y, y], None) == (h, cofs)
+    with pytest.raises(ValueError):
+        ReducerSet(ring, [x, ring.zero, y], cofactors=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,7 +1107,8 @@ def test_reduced_basis_fixed_cases(family, n, p, monkeypatch):
     # the rebuilds' builder on the raw f5 and f5r bases, with the certified
     # store's vectors: the same reduced basis as interreduce and the fixpoint
     # interreduction, vectors that compose it over the inputs, and no
-    # ReducerSet but the shared one (no check of the dropped elements)
+    # ReducerSet but the shared one it returns (no check of the dropped
+    # elements)
     from f5gb import algebra, drivers
 
     engines = []
@@ -1129,8 +1137,9 @@ def test_reduced_basis_fixed_cases(family, n, p, monkeypatch):
         built.clear()
         with monkeypatch.context() as m:
             m.setattr(algebra, "ReducerSet", CountingReducerSet)
-            result, result_cofs, dropped = reduced_basis(G, cofs)
-        assert len(built) == 1
+            reducers, dropped = reduced_basis(G, cofs)
+        assert built == [reducers]
+        result, result_cofs = reducers.polys, reducers.cofactors
         assert result == interreduce(G) == _autoreduce(G)
         assert len(result) + len(dropped) == len(G)
         assert all(not normal_form(d, result) for d in dropped)

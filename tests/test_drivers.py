@@ -12,6 +12,7 @@ from f5gb.algebra import (
     NonHomogeneousError,
     Polynomial,
     PolynomialRing,
+    ReducerSet,
     ZeroPolynomialError,
     homogenize,
     interreduce,
@@ -30,7 +31,7 @@ from f5gb.drivers import (
     run_variant,
     setup_reduced_basis,
 )
-from f5gb.engine import F5Engine, PrevBasis, RunStats
+from f5gb.engine import F5Engine, RunStats
 from f5gb.sigcore import Signature, StoreCapExceeded
 from tests.conftest import APPENDIX_RAW_BASIS, APPENDIX_REDUCED_BASIS, poly, polys
 
@@ -172,7 +173,7 @@ def engine_after_iteration_two(xyzt, appendix_system):
     engine.store.append(Signature(ring, ring.unit_key, 1).packed, fs[0])
     engine.begin_iteration(2)
     engine.store.append(Signature(ring, ring.unit_key, 2).packed, fs[1])
-    prev = PrevBasis(ring, [fs[0]])
+    prev = ReducerSet(ring, [fs[0]])
     curr = engine.incremental_basis(2, prev, [1])
     return engine, curr
 
@@ -180,8 +181,11 @@ def engine_after_iteration_two(xyzt, appendix_system):
 def test_setup_reduced_basis_rebuilds_store_and_rules(xyzt, appendix_system):
     engine, curr = engine_after_iteration_two(xyzt, appendix_system)
     assert len(curr) == 4
-    new = setup_reduced_basis(engine, curr)
-    assert new == [1, 2, 3, 4]
+    reducers = setup_reduced_basis(engine, curr)
+    # the rebuild's set is the next reduction target: the new store's
+    # polynomials, with the store's vectors (None in a plain run)
+    assert reducers.polys == [engine.store.poly(j) for j in range(1, 5)]
+    assert reducers.cofactors == [None] * 4
     assert engine.store.size == 4
     for j in range(1, 5):
         sig = engine.store.sig(j)
@@ -210,8 +214,8 @@ def test_setup_reduced_basis_single_element(xyzt):
     ring = xyzt
     engine = F5Engine(ring, stats=RunStats("f5c", ring.p, "grevlex"))
     engine.store.append(Signature(ring, ring.unit_key, 1).packed, poly(ring, "x^2 + y^2"))
-    new = setup_reduced_basis(engine, [1])
-    assert new == [1]
+    reducers = setup_reduced_basis(engine, [1])
+    assert reducers.polys == [engine.store.poly(1)]
     assert engine.rules.rules_for(1) == []
 
 
@@ -220,6 +224,51 @@ def test_setup_reduced_basis_skip_rules(xyzt, appendix_system):
     setup_reduced_basis(engine, curr, skip_rule_rebuild=True)
     for j in range(1, 5):
         assert engine.rules.rules_for(j) == []
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
+def test_rebuilds_carry_their_one_reducer_set(certified, monkeypatch):
+    # each iteration reduces against one ReducerSet, which the driver
+    # carries forward: f5 builds one per iteration over its raw basis, and
+    # f5r and f5c build none but reduced_basis's shared set, one per
+    # rebuild, which incremental_basis receives as is at the next iteration
+    # (f5r skips the rebuild after the last iteration, f5c does not)
+    from f5gb import algebra
+
+    built, rebuilt, received = [], [], []
+    orig_reduced_basis = f5gb.drivers.reduced_basis
+    orig_incremental_basis = F5Engine.incremental_basis
+
+    class CountingReducerSet(ReducerSet):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    def reduced_basis(G, cofs, stats=None):
+        out = orig_reduced_basis(G, cofs, stats)
+        rebuilt.append(out[0])
+        return out
+
+    def incremental_basis(self, i, prev, prev_indices):
+        received.append(prev)
+        return orig_incremental_basis(self, i, prev, prev_indices)
+
+    monkeypatch.setattr(algebra, "ReducerSet", CountingReducerSet)
+    monkeypatch.setattr(f5gb.drivers, "ReducerSet", CountingReducerSet)
+    monkeypatch.setattr(f5gb.drivers, "reduced_basis", reduced_basis)
+    monkeypatch.setattr(F5Engine, "incremental_basis", incremental_basis)
+    F = cyclic(5, 101)
+    for variant, rebuilds in (("f5", 0), ("f5r", len(F) - 2), ("f5c", len(F) - 1)):
+        for log in (built, rebuilt, received):
+            log.clear()
+        run_variant(F, VariantConfig(variant, certified=certified))
+        assert len(received) == len(F) - 1
+        assert received == built[: len(F) - 1]  # identity: sets define no ==
+        if variant != "f5":
+            assert len(rebuilt) == rebuilds
+            assert built[1:] == rebuilt
 
 
 def test_skip_rule_rebuild_equivalence(appendix_system):

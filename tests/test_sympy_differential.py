@@ -22,7 +22,7 @@ from f5gb.drivers import (
     groebner_check,
     run_variant,
 )
-from f5gb.engine import PrevBasis
+from f5gb.engine import F5Engine
 from f5gb.sigcore import PolyStore, Signature
 
 PRIMES = (2, 3, 101, 32003, 2**31 - 1)
@@ -129,7 +129,9 @@ def test_certificates_hold_in_sympy(name, monkeypatch):
     # sum_products; here the final state of every certified store entry
     # (each f5c rebuild's store included) is re-checked in sympy: the sum,
     # h_l == 0 for l > nu, and lm(h_nu) equal to the signature monomial.
-    # Every f5r PrevBasis vector must compose its interreduced polynomial.
+    # Every vector of the sets f5 and f5r carry into iteration i must have
+    # one entry per input before e_i and compose its polynomial: f5r's
+    # interreduced ones come from reduced_basis alone.
     family, n = CERTIFIED_SYSTEMS[name]
     F = family(n)
     ring = F[0].ring
@@ -152,17 +154,15 @@ def test_certificates_hold_in_sympy(name, monkeypatch):
         reset(store)
         generations.append((store.entries, store.reference_system))
 
-    prevs = []
+    prevs = []  # (i, the set iteration i reduces against)
+    incremental_basis = F5Engine.incremental_basis
 
-    class RecordingPrevBasis(PrevBasis):
-        __slots__ = ()
-
-        def __init__(self, ring, polys, cofactors=None):
-            super().__init__(ring, polys, cofactors)
-            prevs.append(self)
+    def recording_incremental_basis(engine, i, prev, prev_indices):
+        prevs.append((i, prev))
+        return incremental_basis(engine, i, prev, prev_indices)
 
     monkeypatch.setattr(PolyStore, "reset", recording_reset)
-    monkeypatch.setattr("f5gb.drivers.PrevBasis", RecordingPrevBasis)
+    monkeypatch.setattr(F5Engine, "incremental_basis", recording_incremental_basis)
     checked = 0
     for variant in ("f5", "f5r", "f5c"):
         generations.clear()
@@ -178,13 +178,13 @@ def test_certificates_hold_in_sympy(name, monkeypatch):
                 h_nu = sym(e.cofactors[nu - 1])
                 assert not h_nu.is_zero and h_nu.monoms(order=order)[0] == sig.monomial
                 checked += 1
-        if variant == "f5r":
+        if variant != "f5c":
             assert len(prevs) == len(F) - 1
             # one store: its reference system is the inputs in run order
             system = [sym(f) for f in generations[0][1]]
-            for prev in prevs:
+            for i, prev in prevs:
                 assert len(prev.cofactors) == len(prev.polys)
                 for g, cofs in zip(prev.polys, prev.cofactors):
-                    assert composes(cofs, system[: len(cofs)], g)
+                    assert composes(cofs, system[: i - 1], g)
                     checked += 1
     assert checked > 40
