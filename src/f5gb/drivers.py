@@ -161,7 +161,7 @@ def run_variant(F, config: VariantConfig, trace=None) -> BasisResult:
                 prev = ReducerSet(ring, polys, cofactors=cofs)
             else:
                 prev = reduced_basis(polys, cofs, engine.it_stats)[0]
-            del polys, cofs  # f5r's last basis must not live through the iteration
+            del polys, cofs  # the previous basis must not outlive the carry
     else:
         basis = [store.poly(k) for k in indices]
     stats.basis_size_final = len(basis)
