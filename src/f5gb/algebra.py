@@ -627,6 +627,9 @@ class ReducerSet:
     lists one cofactor vector (or None) per element of polys over some
     reference system; zero polynomials are dropped with their vectors, a
     length mismatch raises ValueError, and reduce_payload reads the vectors.
+    Under lex a tail can outgrow its head, so a candidate carries its
+    tail's degree where that exceeds its head's (0 otherwise, and on graded
+    rings), and fold_normal_form checks each such elimination.
     """
 
     __slots__ = (
@@ -643,16 +646,26 @@ class ReducerSet:
         self.eliminations = 0
         self._prefer = prefer
         order = sorted(range(len(self.polys)), key=lambda i: self.polys[i].lt_key())
-        cands = []
-        for pos in order:
-            g = self.polys[pos]
-            hk, hc = g.terms[0]
-            # (head key, head word, 1/lc, position, tail); the benchmark's
-            # counting pass reads the tail at index 4
-            cands.append((hk, ring.word(hk), ring.field.inv(hc), pos, g.terms[1:]))
+        cands = [self._candidate(pos) for pos in order]
         self._keys = [c[0] for c in cands]
         self._cands = cands
         self._cache: dict[int, tuple | None] = {}
+
+    def _candidate(self, pos: int) -> tuple:
+        """(head key, head word, 1/lc, position, tail, tail degree) of polys[pos].
+
+        The tail degree is 0 unless a lex tail outgrows the head; the
+        benchmark's counting pass reads the tail at index 4.
+        """
+        ring, g = self.ring, self.polys[pos]
+        hk, hc = g.terms[0]
+        tail = g.terms[1:]
+        tail_deg = 0
+        if not ring._graded and tail:
+            tail_deg = max(ring.key_degree(k) for k, _ in tail)
+            if tail_deg <= ring.key_degree(hk):
+                tail_deg = 0
+        return (hk, ring.word(hk), ring.field.inv(hc), pos, tail, tail_deg)
 
     def find_divisor(self, key: int):
         """Candidate with the largest head dividing the keyed monomial, or None."""
@@ -717,9 +730,17 @@ class ReducerSet:
         below the popped one, so a pending key's coefficient is final when
         popped.  Each elimination counts one step on self.eliminations and on
         stats, and adds to quotients as reduce_full describes.  The monomial
-        enters as off = key - ring.unit_key for its key.
+        enters as off = key - ring.unit_key for its key.  Under lex a tail
+        can outgrow its head, so the incoming multiple, and each elimination
+        by a candidate with a tail degree, has its degree checked before its
+        terms are added: a term that would not pack raises
+        ExponentOverflowError.
         """
-        p = self.ring.p
+        ring = self.ring
+        p, unit, kd = ring.p, ring.unit_key, ring.key_degree
+        # the incoming multiple's tail degree: graded tails stay below their
+        # heads, and a multiple by 1 packs, so only the other lex ones check
+        tail_deg = 0 if ring._graded or not off else max((kd(k) for k, _ in terms), default=0)
         cache, find = self._cache, self.find_divisor
         coeffs, fresh = payload.coeffs, payload.fresh
         get = coeffs.get
@@ -727,6 +748,8 @@ class ReducerSet:
         pop, push = _heappop, _heappush
         steps = 0
         while True:
+            if tail_deg:
+                ring.check_degree(kd(off + unit) + tail_deg)
             for tk, tc in terms:
                 nk = off + tk
                 prev = get(nk)
@@ -748,11 +771,11 @@ class ReducerSet:
                     break
             else:
                 break
-            gk, _, inv_lc, pos, terms = cache[key]
+            gk, _, inv_lc, pos, terms, tail_deg = cache[key]
             steps += 1
             fac = (c * inv_lc) % p
             if quotients is not None:
-                qk = self.ring.key_div(key, gk)
+                qk = ring.key_div(key, gk)
                 qmap = quotients[pos]
                 qmap[qk] = (qmap.get(qk, 0) + fac) % p
             mfac = p - fac
@@ -919,17 +942,17 @@ def reduced_basis(G, cofs, stats=None):
     # indivisible, so only tail monomials ever reduce, and any fixpoint with
     # these heads is the canonical reduced basis.  Tails go in ascending
     # head order, and every reducer of a tail has a smaller head, so each
-    # element's reduced tail goes into its candidate and its polynomial, and
-    # its reduced vector into its vector (kept ascends, so candidate i is
-    # kept[i]), before any tail can use them; a cached lookup that returns
-    # candidate i is made while reducing a later element, after the
-    # replacement, so the divisor cache stays valid.
+    # element's reduced tail goes into its polynomial and its candidate
+    # (rebuilt from it), and its reduced vector into its vector (kept
+    # ascends, so candidate i is kept[i]), before any tail can use them; a
+    # cached lookup that returns candidate i is made while reducing a later
+    # element, after the replacement, so the divisor cache stays valid.
     shared = ReducerSet(ring, kept, cofactors=kcofs)
     polys, vecs, cands = shared.polys, shared.cofactors, shared._cands
     for i, g in enumerate(polys):
         tail, vecs[i] = reduce_payload(shared, Polynomial(ring, g.terms[1:]), vecs[i], None)
-        cands[i] = cands[i][:4] + (tail.terms,)
         polys[i] = Polynomial(ring, g.terms[:1] + tail.terms)
+        cands[i] = shared._candidate(i)
     if stats is not None:
         stats.interreduction_steps += shared.eliminations
         stats.dropped += len(dropped)

@@ -11,7 +11,8 @@ System file format (line oriented, '#' starts a comment):
     x^2*y - z^2*t
 
 '*' is required between factors and '^' introduces integer exponents, so
-multi-character variable names stay unambiguous.
+multi-character variable names stay unambiguous.  Integers are decimal
+digits.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 computation error.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -28,10 +30,10 @@ from .algebra import (
     PolynomialRing,
     homogenize,
     interreduce,
-    is_prime,
 )
 from .bench import compare_variants, cyclic, katsura
 from .drivers import VariantConfig, buchberger_reduced, run_variant
+from .engine import RunStats
 from .sigcore import StoreCapExceeded
 
 EXIT_OK = 0
@@ -55,102 +57,59 @@ class ParseError(ValueError):
         self.col = col
 
 
-class SystemFile:
-    """Parsed header of a system file."""
-
-    def __init__(self, names, char, order):
-        self.names = names
-        self.char = char
-        self.order = order
-
-
-def _tokenize_poly(text: str, line_no: int):
-    """Yield (kind, value, col) tokens: INT, NAME, '^', '*', '+', '-'."""
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            yield ("INT", int(text[i:j]), col)
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield ("NAME", text[i:j], col)
-            i = j
-        elif c in "^*+-":
-            yield (c, c, col)
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", line_no, col)
+# one token per match: blanks (no group), INT (the decimal digits int()
+# reads), NAME (letters, digits and '_', the characters PolynomialRing
+# allows in a name), an operator, or one character that starts no token
+_TOKEN = re.compile(r"[ \t]+|(?P<INT>\d+)|(?P<NAME>\w+)|(?P<op>[-+*^])|(?P<bad>.)", re.S)
 
 
 def parse_polynomial(ring: PolynomialRing, text: str, line_no: int = 1):
-    """Parse one polynomial line over the given ring."""
-    tokens = list(_tokenize_poly(text, line_no))
+    """Parse one polynomial line over the given ring.
+
+    The grammar is [sign] term {sign term}, a term is factor {'*' factor}
+    and a factor is an integer or a variable with an optional '^' and
+    integer exponent.  The loop reads each token in the light of the one
+    before it: a factor is due at the start and after a sign or '*', an
+    exponent after '^', and a '*', '^', sign or the end after a factor.
+    """
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        # a name starts with a letter, as PolynomialRing requires
+        if kind == "bad" or kind == "NAME" and not value[0].isalpha():
+            raise ParseError(f"unexpected character {value[0]!r}", line_no, m.start() + 1)
+        if kind is not None:
+            tokens.append((value if kind == "op" else kind, value, m.start() + 1))
     if not tokens:
         raise ParseError("empty polynomial", line_no, 1)
+    tokens.append(("end", "", len(text) + 1))
     var_index = {name: i for i, name in enumerate(ring.names)}
     terms = []
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text) + 1)
-
-    while pos < len(tokens):
-        sign = 1
-        kind, _, col = peek()
-        if kind in ("+", "-"):
-            if kind == "-":
-                sign = -1
-            pos += 1
-        elif terms:
-            raise ParseError("expected '+' or '-' between terms", line_no, col)
-        coeff = sign
-        exps = [0] * ring.n
-        expect_factor = True
-        saw_factor = False
-        while True:
-            kind, value, col = peek()
-            if expect_factor:
-                if kind == "INT":
-                    coeff *= value
-                    pos += 1
-                elif kind == "NAME":
-                    if value not in var_index:
-                        raise ParseError(f"unknown variable {value!r}", line_no, col)
-                    pos += 1
-                    e = 1
-                    k2, v2, c2 = peek()
-                    if k2 == "^":
-                        pos += 1
-                        k3, v3, c3 = peek()
-                        if k3 != "INT":
-                            raise ParseError("expected integer exponent after '^'", line_no, c3)
-                        e = v3
-                        pos += 1
-                    exps[var_index[value]] += e
-                else:
-                    raise ParseError("expected a coefficient or variable", line_no, col)
-                saw_factor = True
-                expect_factor = False
+    coeff, exps, var = 1, [0] * ring.n, 0
+    prev = None  # the start of the line
+    for kind, value, col in tokens:
+        if prev in (None, "+", "-", "*"):  # a factor is due
+            if kind == "INT":
+                coeff *= int(value)
+            elif kind == "NAME":
+                if value not in var_index:
+                    raise ParseError(f"unknown variable {value!r}", line_no, col)
+                var = var_index[value]
+                exps[var] += 1
+            elif prev is None and kind in ("+", "-"):
+                coeff = -1 if kind == "-" else 1
             else:
-                if kind == "*":
-                    pos += 1
-                    expect_factor = True
-                else:
-                    break
-        if not saw_factor:
-            raise ParseError("empty term", line_no, peek()[2])
-        terms.append((tuple(exps), coeff))
+                raise ParseError("expected a coefficient or variable", line_no, col)
+        elif prev == "^":
+            if kind != "INT":
+                raise ParseError("expected integer exponent after '^'", line_no, col)
+            exps[var] += int(value) - 1  # the variable already counted once
+        elif kind in ("+", "-", "end"):
+            terms.append((tuple(exps), coeff))
+            coeff, exps = -1 if kind == "-" else 1, [0] * ring.n
+        elif kind != "*" and not (kind == "^" and prev == "NAME"):
+            raise ParseError("expected '+' or '-' between terms", line_no, col)
+        prev = kind
     try:
         return ring.from_terms(terms)
     except ValueError as exc:
@@ -158,22 +117,22 @@ def parse_polynomial(ring: PolynomialRing, text: str, line_no: int = 1):
 
 
 def parse_system(text: str, char_override: int | None = None):
-    """Parse a full system file; returns (SystemFile, ring, polynomials).
+    """Parse a full system file; returns (ring, polynomials).
 
     A char_override replaces the file's 'char:' line, so the polynomial
-    lines are read over that field.
+    lines are read over that field.  The ring checks the characteristic
+    and the variable names; its ValueError becomes a ParseError.
     """
     names = None
     char = None
     order = "grevlex"
-    polys_started = False
     ring = None
     polys = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not polys_started:
+        if ring is None:
             lowered = line.lower()
             if lowered.startswith("ring:"):
                 names = tuple(s.strip() for s in line[5:].split(",") if s.strip())
@@ -182,7 +141,7 @@ def parse_system(text: str, char_override: int | None = None):
                 continue
             if lowered.startswith("char:"):
                 value = line[5:].strip()
-                if not value.isdigit():
+                if not value.isdecimal():
                     raise ParseError("characteristic must be a positive integer", line_no, 6)
                 char = int(value)
                 continue
@@ -196,21 +155,18 @@ def parse_system(text: str, char_override: int | None = None):
                     char = char_override
                 if char is None:
                     raise ParseError("missing 'char:' declaration", line_no, 1)
-                if not is_prime(char) or not (2 <= char < 2 ** 31):
-                    raise ParseError(f"characteristic {char} is not a valid prime", line_no, 1)
                 try:
                     ring = PolynomialRing(char, names, order)
                 except ValueError as exc:
                     raise ParseError(str(exc), line_no, 1) from exc
-                polys_started = True
                 continue
             raise ParseError(f"unexpected header line {line!r}", line_no, 1)
         polys.append(parse_polynomial(ring, raw.split("#", 1)[0], line_no))
-    if not polys_started:
+    if ring is None:
         raise ParseError("missing 'polys:' section", 1, 1)
     if not polys:
         raise ParseError("no polynomials given", 1, 1)
-    return SystemFile(names, char, order), ring, polys
+    return ring, polys
 
 
 def render_polynomial(poly) -> str:
@@ -272,17 +228,11 @@ def _run_single(args, F, stdout, stderr):
         basis = buchberger_reduced(F)
         for g in basis:
             print(render_polynomial(g), file=stdout)
-        if args.stats_json:
+        if args.stats_json:  # the oracle's record: no iterations, empty totals
             ring = F[0].ring
-            _write_stats(args.stats_json, {
-                "algorithm": "buchberger",
-                "char": ring.p,
-                "order": ring.order.kind,
-                "iterations": [],
-                "totals": {},
-                "basis_size_final": len(basis),
-                "reduced_basis_agrees_with_oracle": True,
-            })
+            stats = RunStats("buchberger", ring.p, ring.order.kind, basis_size_final=len(basis),
+                             reduced_basis_agrees_with_oracle=True)
+            _write_stats(args.stats_json, {**stats.to_dict(), "totals": {}})
         return EXIT_OK
     cfg = VariantConfig(
         variant=args.algorithm,
@@ -309,7 +259,7 @@ def _cmd_run(args, stdout, stderr):
         print(f"cannot read {args.input}: {exc}", file=stderr)
         return EXIT_PARSE
     try:
-        _, _, F = parse_system(text, args.char)
+        _, F = parse_system(text, args.char)
     except ParseError as exc:
         print(f"{args.input}: {exc}", file=stderr)
         return EXIT_PARSE

@@ -113,10 +113,9 @@ def setup_reduced_basis(engine: F5Engine, curr, skip_rule_rebuild: bool = False)
     engine.rules.reset(len(B))
     if not skip_rule_rebuild:
         heads = [b.lt_key() for b in B]
-        for j in range(len(B) - 1):
-            t = heads[j]
-            for k in range(j + 1, len(B)):
-                u = ring.key_div(ring.lcm(t, heads[k]), heads[k])
+        for j, t in enumerate(heads):  # one lcm row per element
+            for k, lcm in enumerate(ring.lcms(t, heads[j + 1:]), start=j + 1):
+                u = ring.key_div(lcm, heads[k])
                 engine.rules.add_rule((k + 1) << ring.sig_shift | u, 0)
     return reducers
 

@@ -14,7 +14,7 @@ counts the pairs each check drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
@@ -56,22 +56,9 @@ class IterationStats:
     spolys_rewritten: int = 0
 
     def to_dict(self):
-        return {
-            "i": self.i,
-            "basis_size": self.basis_size,
-            "pairs_by_degree": {str(d): n for d, n in sorted(self.pairs_by_degree.items())},
-            "spolys": self.spolys,
-            "reduction_steps": self.reduction_steps,
-            "zero_reductions": self.zero_reductions,
-            "safe_steps": self.safe_steps,
-            "unsafe_splits": self.unsafe_splits,
-            "chains": self.chains,
-            "interreduction_steps": self.interreduction_steps,
-            "dropped": self.dropped,
-            "pairs_f5_criterion": self.pairs_f5_criterion,
-            "pairs_rewritten": self.pairs_rewritten,
-            "spolys_rewritten": self.spolys_rewritten,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["pairs_by_degree"] = {str(d): n for d, n in sorted(self.pairs_by_degree.items())}
+        return out
 
 
 @dataclass
@@ -372,8 +359,6 @@ class F5Engine:
                 inv = field.inv(lc)
                 store.set_poly(k, h.poly(inv), chain_cofactors(inv))
             rterms = red.poly.terms
-            if not ring._graded:  # lex: the tail may outgrow the head's degree
-                ring.check_degree(red.poly.degree() + ring.key_degree(u_key))
             c = field.div(lc, rterms[0][1])
             if cof is not None:  # heads descend, so u is new for j
                 multiples.setdefault(j, {})[u_key] = c

@@ -82,6 +82,11 @@ LCM_TESTS = (
     "tests/test_engine.py::test_critical_pairs_raise_where_ring_lcm_does",
     "tests/test_algebra.py::test_key_divisibility_agrees_with_exponent_tuples",
 )
+LEX_GUARD_TESTS = (
+    "tests/test_algebra.py::test_lex_eliminations_past_the_packed_degree_raise",
+    "tests/test_drivers.py::test_lex_tails_past_the_packed_degree_raise_in_the_oracle",
+)
+PARSER_TESTS = ("tests/test_cli.py",)
 GM_TESTS = ("tests/test_drivers.py::test_gebauer_moller_pair_stream_is_pinned",)
 CRITERIA_TESTS = (
     "tests/test_acceptance.py::test_criterion_2_trace_fidelity",
@@ -142,13 +147,13 @@ MUTANTS = (
         # but more eliminations, and vectors that no longer match the tails
         "tail-not-replaced",
         "algebra.py",
-        "        cands[i] = cands[i][:4] + (tail.terms,)\n",
+        "        cands[i] = shared._candidate(i)\n",
         "",
         TAIL_PASS_TESTS,
     ),
     Mutant(
-        # the set keeps the elements' raw tails, though its candidates reduce
-        # with the reduced ones: f5c stores a basis that is not reduced
+        # the set and the candidates rebuilt from it keep the elements' raw
+        # tails: f5c stores a basis that is not reduced
         "reduced-polys-not-stored",
         "algebra.py",
         "        polys[i] = Polynomial(ring, g.terms[:1] + tail.terms)\n",
@@ -368,6 +373,31 @@ MUTANTS = (
         "        _heappop(self.heap)\n",
         KERNEL_TESTS,
     ),
+    # -- lex tails that outgrow their heads (algebra.ReducerSet._candidate
+    #    and fold_normal_form)
+    Mutant(
+        "lex-elimination-unchecked",
+        "algebra.py",
+        "            if tail_deg:\n                ring.check_degree(kd(off + unit) + tail_deg)\n",
+        "",
+        LEX_GUARD_TESTS,
+    ),
+    Mutant(
+        # the incoming multiple a top-reduction step folds goes unchecked
+        "lex-incoming-multiple-unchecked",
+        "algebra.py",
+        "        tail_deg = 0 if ring._graded or not off else",
+        "        tail_deg = 0 if True else",
+        LEX_GUARD_TESTS,
+    ),
+    Mutant(
+        # a reduced tail keeps the degree of the raw tail it replaced
+        "replaced-tail-degree-stale",
+        "algebra.py",
+        "        cands[i] = shared._candidate(i)\n",
+        "        cands[i] = cands[i][:4] + (tail.terms, cands[i][5])\n",
+        LEX_GUARD_TESTS,
+    ),
     # -- the packed-key lcm (algebra.PolynomialRing.lcms; lcm is its one-pair case)
     Mutant(
         "lcm-selects-minimum",
@@ -390,6 +420,14 @@ MUTANTS = (
         "            if d > dmax:\n                dmax = d\n",
         "            dmax = d\n",
         LCM_TESTS,
+    ),
+    # -- the phantom rules of F5C's rebuild (drivers.setup_reduced_basis)
+    Mutant(
+        "phantom-row-misaligned",
+        "drivers.py",
+        "enumerate(ring.lcms(t, heads[j + 1:]), start=j + 1)",
+        "enumerate(ring.lcms(t, heads[j + 1:]), start=j)",
+        ("tests/test_drivers.py::test_setup_reduced_basis_phantom_rule_monomials",),
     ),
     # -- the oracle's Gebauer-Moller update (drivers._gm_update)
     Mutant(
@@ -436,6 +474,49 @@ MUTANTS = (
         equivalent="no find_reductor call in f5, f5r or f5c on katsura-5/6, cyclic-5/6"
         " or 3,000 random 3-variable systems has two candidates that pass all three"
         " safety tests, so the scan order never decides",
+    ),
+    # -- the system-file parser (cli.parse_polynomial and parse_system)
+    Mutant(
+        "int-token-takes-word-chars",
+        "cli.py",
+        "(?P<INT>\\d+)",
+        "(?P<INT>\\d\\w*)",
+        PARSER_TESTS,
+    ),
+    Mutant(
+        "name-may-start-with-any-word-char",
+        "cli.py",
+        'if kind == "bad" or kind == "NAME" and not value[0].isalpha():',
+        'if kind == "bad":',
+        PARSER_TESTS,
+    ),
+    Mutant(
+        "tab-not-a-blank",
+        "cli.py",
+        'r"[ \\t]+|',
+        'r"[ ]+|',
+        PARSER_TESTS,
+    ),
+    Mutant(
+        "end-token-on-last-character",
+        "cli.py",
+        'tokens.append(("end", "", len(text) + 1))',
+        'tokens.append(("end", "", len(text)))',
+        PARSER_TESTS,
+    ),
+    Mutant(
+        "exponent-adds-to-the-first-power",
+        "cli.py",
+        "            exps[var] += int(value) - 1",
+        "            exps[var] += int(value)",
+        PARSER_TESTS,
+    ),
+    Mutant(
+        "char-accepts-digit-like",
+        "cli.py",
+        "if not value.isdecimal():",
+        "if not value.isdigit():",
+        PARSER_TESTS,
     ),
 )
 

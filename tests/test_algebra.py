@@ -200,6 +200,35 @@ def test_products_past_the_packed_degree_raise(kind):
             ring.lcm(ring.key((u[0], u[1] + 1)), ring.key(v))
 
 
+def test_lex_eliminations_past_the_packed_degree_raise():
+    # under lex a reducer's tail can outgrow its head: each elimination by
+    # x - y^16383 trades one x for 16383 y's
+    ring = PolynomialRing(32003, ("x", "y"), "lex")
+    g = P(ring, (1, (1, 0)), (32002, (0, 16383)))
+    assert normal_form(P(ring, (1, (2, 1))), [g]).terms == ((ring.key((0, 32767)), 1),)
+    with pytest.raises(ExponentOverflowError):
+        normal_form(P(ring, (1, (2, 2))), [g])  # unguarded: y^32768
+    with pytest.raises(ExponentOverflowError):
+        normal_form(P(ring, (1, (5, 0))), [P(ring, (1, (1, 0)), (32002, (0, 16000)))])
+    # the tail pass reduces y - z^2 to y - w^20000 before x - y^2 uses it:
+    # x - w^40000 does not pack
+    ring = PolynomialRing(32003, ("x", "y", "z", "w"), "lex")
+    G = [P(ring, (1, (1, 0, 0, 0)), (32002, (0, 2, 0, 0))),
+         P(ring, (1, (0, 1, 0, 0)), (32002, (0, 0, 2, 0))),
+         P(ring, (1, (0, 0, 1, 0)), (32002, (0, 0, 0, 10000)))]
+    y_w = ((ring.key((0, 1, 0, 0)), 1), (ring.key((0, 0, 0, 20000)), 32002))
+    assert interreduce(G[1:])[1].terms == y_w
+    with pytest.raises(ExponentOverflowError):
+        interreduce(G)
+    # a multiple folded into a payload, as a top-reduction step does
+    rs, payload = ReducerSet(ring, []), WorkingPayload(ring.zero)
+    off = ring.key((0, 0, 0, 16000)) - ring.unit_key
+    rs.fold_normal_form(payload, off, 1, ((ring.key((0, 0, 0, 16767)), 1),))
+    assert payload.poly().terms == ((ring.key((0, 0, 0, 32767)), 1),)
+    with pytest.raises(ExponentOverflowError):
+        rs.fold_normal_form(payload, off, 1, ((ring.key((0, 0, 0, 16768)), 1),))
+
+
 @st.composite
 def monomials(draw, n, budget):
     """n exponents of total degree at most budget; 0, 16383 and the rest of
@@ -684,7 +713,7 @@ def eager_reduce_full(rs, f, stats=None, quotients=None):
         if cand is None:
             out.append((key, c))
             continue
-        gk, _, inv_lc, pos, tail = cand
+        gk, _, inv_lc, pos, tail = cand[:5]
         steps += 1
         fac = (c * inv_lc) % p
         if quotients is not None:

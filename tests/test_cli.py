@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import f5gb
 from f5gb.algebra import PolynomialRing
 from f5gb.cli import (
     EXIT_COMPUTE,
@@ -18,6 +22,7 @@ from f5gb.cli import (
     render_polynomial,
     run_command,
 )
+from f5gb.engine import RunStats
 from tests.conftest import APPENDIX_REDUCED_BASIS, poly
 
 APPENDIX_FILE = """\
@@ -76,9 +81,9 @@ def test_parse_rejects_oversized_exponent(xyzt):
 
 
 def test_parse_system_full_file():
-    meta, ring, F = parse_system(APPENDIX_FILE)
-    assert meta.names == ("x", "y", "z", "t")
-    assert meta.char == 32003
+    ring, F = parse_system(APPENDIX_FILE)
+    assert ring.names == ("x", "y", "z", "t")
+    assert ring.p == 32003
     assert ring.order.kind == "grevlex"
     assert len(F) == 3
     assert F[2] == poly(ring, "x^2*y - z^2*t")
@@ -93,6 +98,45 @@ def test_parse_system_errors():
         parse_system("ring: x\nchar: 7\norder: weird\npolys:\nx\n")
     with pytest.raises(ParseError):
         parse_system("ring: x\nchar: 7\npolys:\n")  # no polynomials
+
+
+POLYS_HEADER = "ring: x,y,z,t\nchar: 32003\npolys:\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        (POLYS_HEADER + "x + (y)\n", 4, 5, "unexpected character '('"),
+        (POLYS_HEADER + "x\t+\t(y)\n", 4, 5, "unexpected character '('"),
+        (POLYS_HEADER + "x + _y\n", 4, 5, "unexpected character '_'"),
+        (POLYS_HEADER + "x*y + # z\n", 4, 7, "expected a coefficient or variable"),
+        (POLYS_HEADER + "x + * y\n", 4, 5, "expected a coefficient or variable"),
+        (POLYS_HEADER + "x^\n", 4, 3, "expected integer exponent after '^'"),
+        (POLYS_HEADER + "2x\n", 4, 2, "expected '+' or '-' between terms"),
+        (POLYS_HEADER + "x + w\n", 4, 5, "unknown variable 'w'"),
+        (POLYS_HEADER + "x^²\n", 4, 3, "unexpected character '²'"),
+        ("ring: ,\nchar: 7\npolys:\nx\n", 1, 6, "empty variable list"),
+        ("ring: x\nchar: seven\npolys:\nx\n", 2, 6, "positive integer"),
+        ("ring: x\nchar: ²\npolys:\nx\n", 2, 6, "positive integer"),
+        # even, so no primality test reaches trial division
+        ("ring: x\nchar: 1" + "0" * 30 + "\npolys:\nx\n", 3, 1, "out of range"),
+        ("ring: x\n\npolys:\nx\n", 3, 1, "missing 'char:' declaration"),
+        ("ring: x\nchar: 7\nvars: x\npolys:\nx\n", 3, 1, "unexpected header line"),
+        ("ring: x\nchar: 7\n", 1, 1, "missing 'polys:' section"),
+    ],
+    ids=[
+        "unexpected-character", "tabs-are-blanks", "leading-underscore",
+        "comment-after-plus", "factor-expected", "bare-caret", "juxtaposed-factors",
+        "unknown-variable", "superscript-exponent", "empty-ring", "word-char",
+        "superscript-char", "31-digit-char", "missing-char", "unexpected-header",
+        "missing-polys",
+    ],
+)
+def test_malformed_lines_raise_at_their_position(text, line, col, message):
+    with pytest.raises(ParseError) as info:
+        parse_system(text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert message in str(info.value)
 
 
 def test_render_parse_round_trip_randomized(xyzt):
@@ -174,6 +218,22 @@ def test_run_stats_json(tmp_path):
     }
 
 
+def test_run_buchberger_stats_json(tmp_path):
+    path = tmp_path / "app.ideal"
+    path.write_text(APPENDIX_FILE)
+    stats_path = tmp_path / "stats.json"
+    code, _, _ = run(
+        ["run", "--input", str(path), "--algorithm", "buchberger", "--stats-json", str(stats_path)]
+    )
+    assert code == EXIT_OK
+    payload = json.loads(stats_path.read_text())
+    assert payload.keys() == RunStats("f5", 32003, "grevlex").to_dict().keys()
+    assert payload["algorithm"] == "buchberger"
+    assert payload["iterations"] == [] and payload["totals"] == {}
+    assert payload["reduced_basis_agrees_with_oracle"] is True
+    assert payload["basis_size_final"] == 8
+
+
 def test_run_missing_file():
     code, _, err = run(["run", "--input", "/nonexistent.ideal", "--algorithm", "f5"])
     assert code == EXIT_PARSE
@@ -186,6 +246,28 @@ def test_run_parse_failure(tmp_path):
     code, _, err = run(["run", "--input", str(path), "--algorithm", "f5"])
     assert code == EXIT_PARSE
     assert "column" in err
+
+
+@pytest.mark.parametrize(
+    "char, line",
+    [("32003", "x^²"), ("²", "x"), ("1" + "0" * 28 + "57", "x")],
+    ids=["superscript-exponent", "superscript-char", "31-digit-char"],
+)
+def test_unreadable_integers_exit_two_at_once(tmp_path, char, line):
+    # a separate process, so a slow primality test fails the timeout
+    # instead of stalling the suite
+    path = tmp_path / "bad.ideal"
+    path.write_text(f"ring: x\nchar: {char}\npolys:\n{line}\n")
+    src = os.path.dirname(os.path.dirname(f5gb.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "f5gb.cli", "run", "--input", str(path), "--algorithm", "f5"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == EXIT_PARSE
+    assert "column" in done.stderr
 
 
 @pytest.mark.parametrize("algorithm", ["buchberger", "f5c"])

@@ -482,6 +482,16 @@ def test_an_lcm_past_the_packed_degree_raises_everywhere():
             compute(F)
 
 
+def test_lex_tails_past_the_packed_degree_raise_in_the_oracle():
+    # x^5 reduced by x - y^16000 would reach y^80000; unguarded, the oracle
+    # returned [y^30464, x - y^16000] and the check accepted it
+    ring = PolynomialRing(32003, ("x", "y"), "lex")
+    F = polys(ring, "x^5", "x - y^16000")
+    for compute in (buchberger_reduced, groebner_check):
+        with pytest.raises(ExponentOverflowError):
+            compute(F)
+
+
 def test_oracle_agreement_small_suite():
     ring = PolynomialRing(32003, ("x", "y", "z"))
     systems = [
