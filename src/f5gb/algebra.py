@@ -17,7 +17,6 @@ ORDER_KINDS = ("grevlex", "lex", "deglex")
 
 _FIELD_BITS = 16            # bits per exponent field in packed keys
 _FIELD_MAX = (1 << 15) - 1  # largest exponent, and largest total degree, a key holds
-_MAX_EXPONENT = 1 << 14     # hard guard, far beyond any feasible computation
 
 
 class ArityError(ValueError):
@@ -179,6 +178,21 @@ def order_cmp(order: TermOrder, a, b) -> int:
 # the ring: variable names, coefficient field, order, and key packing
 
 
+def check_names(names) -> tuple:
+    """names as a tuple; ValueError unless they are one or more distinct variable names."""
+    names = tuple(names)
+    if not names:
+        raise ValueError("a polynomial ring needs at least one variable")
+    seen = set()
+    for name in names:
+        if not (name[:1].isalpha() and all(c.isalnum() or c == "_" for c in name)):
+            raise ValueError(f"bad variable name: {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate variable name: {name!r}")
+        seen.add(name)
+    return names
+
+
 class PolynomialRing:
     """F_p[x_1, ..., x_n] with a fixed admissible order.
 
@@ -187,18 +201,7 @@ class PolynomialRing:
     """
 
     def __init__(self, char: int, names, order: str | TermOrder = "grevlex"):
-        names = tuple(names)
-        if not names:
-            raise ValueError("a polynomial ring needs at least one variable")
-        seen = set()
-        for name in names:
-            if not name or not (name[0].isalpha()) or not all(
-                c.isalnum() or c == "_" for c in name
-            ):
-                raise ValueError(f"bad variable name: {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate variable name: {name!r}")
-            seen.add(name)
+        names = check_names(names)
         self.field = PrimeField(char)
         self.p = self.field.p
         self.names = names
@@ -341,11 +344,12 @@ class PolynomialRing:
         """Build a polynomial from (exponent tuple, coefficient) pairs.
 
         Coefficients are reduced mod p, duplicate monomials merged, zero
-        terms dropped, and the result sorted descending.
+        terms dropped, and the result sorted descending.  A negative exponent
+        raises ValueError, a total degree past 32767 ExponentOverflowError.
         """
         acc: dict[int, int] = {}
         for exps, c in terms:
-            if any(e < 0 or e >= _MAX_EXPONENT for e in exps):
+            if any(e < 0 for e in exps):
                 raise ValueError(f"exponent out of range in {exps}")
             k = self.key(exps)
             acc[k] = (acc.get(k, 0) + c) % self.p

@@ -28,6 +28,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from .algebra import (
     ExponentOverflowError,
     PolynomialRing,
+    PrimeField,
+    TermOrder,
+    check_names,
     homogenize,
     interreduce,
 )
@@ -112,17 +115,25 @@ def parse_polynomial(ring: PolynomialRing, text: str, line_no: int = 1):
         prev = kind
     try:
         return ring.from_terms(terms)
-    except ValueError as exc:
+    except (ValueError, ExponentOverflowError) as exc:
         raise ParseError(str(exc), line_no, 1) from exc
 
 
 def parse_system(text: str, char_override: int | None = None):
     """Parse a full system file; returns (ring, polynomials).
 
-    A char_override replaces the file's 'char:' line, so the polynomial
-    lines are read over that field.  The ring checks the characteristic
-    and the variable names; its ValueError becomes a ParseError.
+    Each header line is checked where it is read (check_names, PrimeField,
+    TermOrder), and a ValueError becomes a ParseError at that line.  A
+    char_override replaces the file's unchecked 'char:' value, so the
+    polynomial lines are read over that field; 'polys:' checks it.
     """
+
+    def check(rule, value, line_no, col):
+        try:
+            return rule(value)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no, col) from exc
+
     names = None
     char = None
     order = "grevlex"
@@ -138,27 +149,27 @@ def parse_system(text: str, char_override: int | None = None):
                 names = tuple(s.strip() for s in line[5:].split(",") if s.strip())
                 if not names:
                     raise ParseError("empty variable list", line_no, 6)
+                check(check_names, names, line_no, 6)
                 continue
             if lowered.startswith("char:"):
                 value = line[5:].strip()
                 if not value.isdecimal():
                     raise ParseError("characteristic must be a positive integer", line_no, 6)
                 char = int(value)
+                if char_override is None:
+                    check(PrimeField, char, line_no, 6)
                 continue
             if lowered.startswith("order:"):
                 order = line[6:].strip()
+                check(TermOrder, order, line_no, 7)
                 continue
             if lowered.startswith("polys:"):
                 if names is None:
                     raise ParseError("missing 'ring:' declaration", line_no, 1)
-                if char_override is not None:
-                    char = char_override
+                char = char if char_override is None else char_override
                 if char is None:
                     raise ParseError("missing 'char:' declaration", line_no, 1)
-                try:
-                    ring = PolynomialRing(char, names, order)
-                except ValueError as exc:
-                    raise ParseError(str(exc), line_no, 1) from exc
+                ring = check(lambda c: PolynomialRing(c, names, order), char, line_no, 1)
                 continue
             raise ParseError(f"unexpected header line {line!r}", line_no, 1)
         polys.append(parse_polynomial(ring, raw.split("#", 1)[0], line_no))

@@ -4,7 +4,8 @@ One F5Engine owns a labeled-polynomial store and a rewrite-rule table for the
 duration of a single Groebner computation.  incremental_basis extends a basis
 of <f_1..f_{i-1}> to one of <f_1..f_i>, processing critical pairs in
 nondecreasing lcm degree and reducing S-polynomials in increasing signature
-order.  Pair creation forms each new element's pairs in one batch
+order; an S-polynomial stays raw in the store until its chain of top
+reductions starts.  Pair creation forms each new element's pairs in one batch
 (critical_pairs) and applies both the previous-basis top-reducibility
 criterion (the F5 criterion) and the rewritability check; the latter only
 front-loads a skip the S-polynomial stage would perform anyway, and keeps the
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
-from .algebra import PolynomialRing, ReducerSet, WorkingPayload, reduce_payload, subtract_quotients
+from .algebra import PolynomialRing, ReducerSet, WorkingPayload, subtract_quotients
 from .sigcore import PolyStore, RuleTable, cofactors_scale, cofactors_sub
 
 
@@ -273,22 +274,13 @@ class F5Engine:
     def reduction(self, todo, prev: ReducerSet, curr) -> list:
         """Reduce queued S-polynomials; returns survivors in completion order.
 
-        Each S-polynomial is first normal-formed against the previous basis
-        (reduce_payload, the one reduce_full call per S-polynomial).  Every
-        payload the loop meets is then a normal form, so each pop takes the
-        minimal remaining signature and runs its whole chain of safe
-        top-reduction steps via top_reduction, which folds each step's
-        normal form into one working payload.  The heap holds the
-        S-polynomials and the two entries of each unsafe split: a safe step
-        would requeue the minimum under its unchanged (signature, index)
-        pair, which the next pop would take again.
+        Each pop takes the minimal remaining signature and runs its whole
+        chain via top_reduction.  The heap holds the S-polynomials, raw in
+        the store until then, and the two entries of each unsafe split: a
+        safe step would requeue the minimum under its unchanged (signature,
+        index) pair, which the next pop would take again.
         """
-        store = self.store
-        for j in todo:
-            entry = store.entries[j]
-            h, cof = reduce_payload(prev, entry.poly, entry.cofactors, self.it_stats)
-            store.set_poly(j, h, cof)
-        sigs = store.sigs
+        sigs = self.store.sigs
         queue = [(sigs[j], j) for j in todo]
         heapify(queue)
         done: list = []
@@ -304,29 +296,28 @@ class F5Engine:
         """Run store entry k through its whole chain of safe top reductions.
 
         Returns (completed, redo): ((k,), ()) once no reductor is left, with
-        k stored monic; ((), ()) for a reduction to zero; ((), (k, idx)) at an
-        unsafe step, whose monic result is the new entry idx with the larger
-        signature.  The chain keeps k's payload in one WorkingPayload: a step
+        k stored monic; ((), ()) for a reduction to zero, stored as zero;
+        ((), (k, idx)) at an unsafe step, which stores k's payload and the
+        step's monic result as the new entry idx with the larger signature.
+        The chain starts from the normal form of k's payload against the
+        previous basis and keeps it in one WorkingPayload: a step
         h -> h - c*u*r drops h's head and folds NF(-c*u*tail(r)) into it
-        (h is a normal form and normal forms are linear), so no step builds
-        a polynomial.  Polynomials are built, with one sort each, only where
-        the store takes one: at the end of the chain, before an unsafe split
-        and for the split's new entry.  The payload is not made monic between
-        steps, so it holds lam times what a loop storing each step monic
-        would hold (lam = lc(h) once a step is taken, 1 before); the store
-        before an unsafe split and a zero result's cofactors are scaled by
-        1/lam, so every stored payload is the same.  Cofactors are updated
-        once per stored payload: the chain accumulates its quotient maps
-        against the previous basis and its multiples c*u of each reductor r
-        and subtracts them from k's vector with subtract_quotients.
+        (normal forms are linear), so a payload is built, with one sort, only
+        where the store takes one after a step.  The payload is not made monic
+        between steps, so it holds lam times what a loop storing each step
+        monic would hold (lam = lc(h) after the last safe step, 1 before
+        any); k's payload stored at an unsafe split and a zero result's
+        cofactors are scaled by 1/lam, so every stored payload is the same.
+        Cofactors are updated once per stored payload: the chain's quotient
+        maps against the previous basis, its first normal form's included,
+        and its multiples c*u of each reductor r are subtracted from k's
+        vector with subtract_quotients.
         """
         ring, store, field = self.ring, self.store, self.ring.field
         stats = self.it_stats
         stats.chains += 1
         entry = store.entries[k]
         sig_k, cof = store.sigs[k], entry.cofactors
-        if not entry.poly:
-            return self._zero_result()
         quotients = None if cof is None else [{} for _ in prev.polys]
         multiples: dict = {}  # reductor j -> {u key: c}: the chain subtracts c*u*r_j
 
@@ -341,24 +332,23 @@ class F5Engine:
             )
             return cofactors_scale(vec, inv)
 
-        h = WorkingPayload(entry.poly)
-        head, lc = h.head()
-        stepped = False
-        while True:
+        nf = prev.reduce_full(entry.poly, stats, quotients)
+        h = WorkingPayload(nf)
+        top, lam, stepped = h.head(), 1, False
+        while top is not None:
+            head, lc = top
             j = self.find_reductor(k, head, prev, curr, done)
-            if j is None:
+            if j is None:  # until a step is taken, h holds nf: no rebuild
                 inv = field.inv(lc)
-                if stepped or inv != 1:
-                    store.set_poly(k, h.poly(inv), chain_cofactors(inv))
+                store.set_poly(k, h.poly(inv) if stepped else nf.scale(inv), chain_cofactors(inv))
                 return (k,), ()
-            red = store.entries[j]
             u_key = ring.key_div(head, store.heads[j])
             new_sig = ring.key_mul(u_key, store.sigs[j])
             safe = new_sig < sig_k
-            if not safe and stepped:  # k as a step-by-step loop stored it
-                inv = field.inv(lc)
-                store.set_poly(k, h.poly(inv), chain_cofactors(inv))
-            rterms = red.poly.terms
+            if not safe:  # k as a step-by-step loop stored it
+                inv = field.inv(lam)
+                store.set_poly(k, h.poly(inv) if stepped else nf, chain_cofactors(inv))
+            rterms = store.entries[j].poly.terms
             c = field.div(lc, rterms[0][1])
             if cof is not None:  # heads descend, so u is new for j
                 multiples.setdefault(j, {})[u_key] = c
@@ -368,25 +358,17 @@ class F5Engine:
             )
             stats.reduction_steps += 1
             top = h.head()
-            if safe and top is not None:
-                stats.safe_steps += 1
-                (head, lc), stepped = top, True
-                continue
-            # a split's new entry is made monic; a zero result's cofactors
-            # are scaled by 1/lam
-            inv = field.inv(top[1]) if top is not None else field.inv(lc) if stepped else 1
-            p_cof = chain_cofactors(inv)
-            if safe:
-                stats.safe_steps += 1
-                store.set_poly(k, ring.zero, p_cof)
-                return self._zero_result()
-            stats.unsafe_splits += 1
-            idx = store.append(new_sig, h.poly(inv), p_cof)
-            self.rules.add_rule(new_sig, idx)
-            return (), (k, idx)
-
-    def _zero_result(self):
-        self.it_stats.zero_reductions += 1
+            if not safe:  # the new entry is made monic, or scaled by 1/lam if zero
+                inv = field.inv(lam if top is None else top[1])
+                stats.unsafe_splits += 1
+                idx = store.append(new_sig, h.poly(inv), chain_cofactors(inv))
+                self.rules.add_rule(new_sig, idx)
+                return (), (k, idx)
+            stats.safe_steps += 1
+            if top is not None:
+                lam, stepped = top[1], True
+        store.set_poly(k, ring.zero, chain_cofactors(field.inv(lam)))
+        stats.zero_reductions += 1
         self.emit("Reduction to zero!")
         return (), ()
 

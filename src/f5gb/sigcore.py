@@ -103,8 +103,9 @@ def admissible_check(entry, system) -> bool:
 # In certified mode every payload carries a cofactor vector over the store's
 # reference system; in plain mode it carries None.  The engine and the drivers
 # update cofactor vectors only through these helpers and
-# algebra.reduce_payload, which all pass None through, so the engine and
-# F5R's interreduction run the same statements in both modes.
+# algebra.subtract_quotients (which reduce_payload calls), which all pass
+# None through, so the engine and F5R's interreduction run the same
+# statements in both modes.
 
 
 def cofactors_sub(ring, a, b, tb_key, tb_c, ta_key=None, ta_c=1):

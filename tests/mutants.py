@@ -94,6 +94,10 @@ CRITERIA_TESTS = (
     "tests/test_drivers.py",
     "tests/test_sigcore.py",
 )
+ADMISSIBLE_TESTS = (
+    "tests/test_sigcore.py::test_admissible_check_cofactor_length_must_match_system",
+    "tests/test_sigcore.py::test_admissible_check_nonzero_cofactor_above_index",
+)
 PAIR_TESTS = (  # no whole file: pytest would run its tests in file order
     "tests/test_engine.py::test_critical_pairs_match_the_per_pair_reference",
     "tests/test_engine.py::test_pair_drop_counters_golden",
@@ -276,19 +280,50 @@ MUTANTS = (
         CRITERIA_TESTS,
     ),
     Mutant(
+        # the chain starts from the raw S-polynomial: its head may be
+        # reducible by the previous basis, and the stores are not normal forms
+        "chain-skips-first-normal-form",
+        "engine.py",
+        "nf = prev.reduce_full(entry.poly, stats, quotients)",
+        "nf = entry.poly",
+        CRITERIA_TESTS,
+    ),
+    Mutant(
         "chain-unscaled-store",
         "engine.py",
-        "            if not safe and stepped:  # k as a step-by-step loop stored it\n"
-        "                inv = field.inv(lc)\n",
-        "            if not safe and stepped:  # k as a step-by-step loop stored it\n"
+        "            if not safe:  # k as a step-by-step loop stored it\n"
+        "                inv = field.inv(lam)\n",
+        "            if not safe:  # k as a step-by-step loop stored it\n"
         "                inv = 1\n",
         CRITERIA_TESTS,
     ),
     Mutant(
         "chain-unscaled-zero-cofactors",
         "engine.py",
-        "else field.inv(lc) if stepped else 1",
-        "else 1",
+        "store.set_poly(k, ring.zero, chain_cofactors(field.inv(lam)))",
+        "store.set_poly(k, ring.zero, chain_cofactors(1))",
+        CRITERIA_TESTS,
+    ),
+    Mutant(
+        # a chain that took steps stores its first normal form
+        "chain-end-keeps-first-normal-form",
+        "engine.py",
+        "lam, stepped = top[1], True",
+        "lam = top[1]",
+        CRITERIA_TESTS,
+    ),
+    Mutant(
+        "unstepped-chain-end-not-monic",
+        "engine.py",
+        "if stepped else nf.scale(inv)",
+        "if stepped else nf",
+        CRITERIA_TESTS,
+    ),
+    Mutant(
+        "chain-unscaled-split-zero-cofactors",
+        "engine.py",
+        "inv = field.inv(lam if top is None else top[1])",
+        "inv = field.inv(1 if top is None else top[1])",
         CRITERIA_TESTS,
     ),
     # -- the one elimination loop (algebra.ReducerSet.fold_normal_form, its
@@ -444,6 +479,23 @@ MUTANTS = (
         "        if True or not (\n",
         GM_TESTS,
     ),
+    # -- the certified check (sigcore.admissible_check)
+    Mutant(
+        "admissible-no-length-clause",
+        "sigcore.py",
+        "    if len(cof) != len(system):\n        return False\n",
+        "",
+        ADMISSIBLE_TESTS,
+    ),
+    Mutant(
+        "admissible-no-vanishing-clause",
+        "sigcore.py",
+        "    for lam in range(nu, len(cof)):\n"
+        "        if not cof[lam].is_zero():\n"
+        "            return False\n",
+        "",
+        ADMISSIBLE_TESTS,
+    ),
     Mutant(
         "admissible-heads-only",
         "sigcore.py",
@@ -509,6 +561,35 @@ MUTANTS = (
         "cli.py",
         "            exps[var] += int(value) - 1",
         "            exps[var] += int(value)",
+        PARSER_TESTS,
+    ),
+    Mutant(
+        "overflow-escapes-the-parser",
+        "cli.py",
+        "except (ValueError, ExponentOverflowError) as exc:",
+        "except ValueError as exc:",
+        PARSER_TESTS,
+    ),
+    Mutant(
+        "names-checked-at-polys",
+        "cli.py",
+        "                check(check_names, names, line_no, 6)\n",
+        "",
+        PARSER_TESTS,
+    ),
+    Mutant(
+        "char-checked-at-polys",
+        "cli.py",
+        "                if char_override is None:\n"
+        "                    check(PrimeField, char, line_no, 6)\n",
+        "",
+        PARSER_TESTS,
+    ),
+    Mutant(
+        "order-checked-at-polys",
+        "cli.py",
+        "                check(TermOrder, order, line_no, 7)\n",
+        "",
         PARSER_TESTS,
     ),
     Mutant(

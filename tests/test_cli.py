@@ -115,11 +115,16 @@ POLYS_HEADER = "ring: x,y,z,t\nchar: 32003\npolys:\n"
         (POLYS_HEADER + "2x\n", 4, 2, "expected '+' or '-' between terms"),
         (POLYS_HEADER + "x + w\n", 4, 5, "unknown variable 'w'"),
         (POLYS_HEADER + "x^²\n", 4, 3, "unexpected character '²'"),
+        (POLYS_HEADER + "x^16000*y^16000*z^1000\n", 4, 1, "total degree 33000 exceeds"),
         ("ring: ,\nchar: 7\npolys:\nx\n", 1, 6, "empty variable list"),
+        ("ring: x,x\nchar: 7\npolys:\nx\n", 1, 6, "duplicate variable name: 'x'"),
+        ("ring: x,2y\nchar: 7\npolys:\nx\n", 1, 6, "bad variable name: '2y'"),
         ("ring: x\nchar: seven\npolys:\nx\n", 2, 6, "positive integer"),
         ("ring: x\nchar: ²\npolys:\nx\n", 2, 6, "positive integer"),
         # even, so no primality test reaches trial division
-        ("ring: x\nchar: 1" + "0" * 30 + "\npolys:\nx\n", 3, 1, "out of range"),
+        ("ring: x\nchar: 1" + "0" * 30 + "\npolys:\nx\n", 2, 6, "out of range"),
+        ("ring: x\nchar: 6\npolys:\nx\n", 2, 6, "not prime"),
+        ("ring: x\nchar: 7\norder: weird\npolys:\nx\n", 3, 7, "unknown order 'weird'"),
         ("ring: x\n\npolys:\nx\n", 3, 1, "missing 'char:' declaration"),
         ("ring: x\nchar: 7\nvars: x\npolys:\nx\n", 3, 1, "unexpected header line"),
         ("ring: x\nchar: 7\n", 1, 1, "missing 'polys:' section"),
@@ -127,9 +132,10 @@ POLYS_HEADER = "ring: x,y,z,t\nchar: 32003\npolys:\n"
     ids=[
         "unexpected-character", "tabs-are-blanks", "leading-underscore",
         "comment-after-plus", "factor-expected", "bare-caret", "juxtaposed-factors",
-        "unknown-variable", "superscript-exponent", "empty-ring", "word-char",
-        "superscript-char", "31-digit-char", "missing-char", "unexpected-header",
-        "missing-polys",
+        "unknown-variable", "superscript-exponent", "degree-past-packed-limit",
+        "empty-ring", "duplicate-name", "name-starts-with-digit", "word-char",
+        "superscript-char", "31-digit-char", "composite-char", "unknown-order",
+        "missing-char", "unexpected-header", "missing-polys",
     ],
 )
 def test_malformed_lines_raise_at_their_position(text, line, col, message):
@@ -137,6 +143,28 @@ def test_malformed_lines_raise_at_their_position(text, line, col, message):
         parse_system(text)
     assert (info.value.line, info.value.col) == (line, col)
     assert message in str(info.value)
+
+
+def test_char_override_is_checked_at_the_polys_line():
+    # the file's own characteristic is not read, so it is not checked
+    text = "ring: x\nchar: 6\npolys:\nx\n"
+    ring, _ = parse_system(text, char_override=7)
+    assert ring.p == 7
+    with pytest.raises(ParseError) as info:
+        parse_system("ring: x\nchar: 7\npolys:\nx\n", char_override=6)
+    assert (info.value.line, info.value.col) == (3, 1)
+    assert "not prime" in str(info.value)
+
+
+def test_lex_output_past_degree_16383_parses_back():
+    # the library's own arithmetic packs exponents up to 32767
+    from f5gb.algebra import normal_form
+
+    ring = PolynomialRing(32003, ("x", "y"), "lex")
+    f = normal_form(poly(ring, "x^2*y"), [poly(ring, "x - y^16383")])
+    text = render_polynomial(f)
+    assert text == "y^32767"
+    assert parse_polynomial(ring, text) == f
 
 
 def test_render_parse_round_trip_randomized(xyzt):

@@ -636,8 +636,10 @@ def test_find_reductor_scans_only_the_current_iteration(certified, monkeypatch):
 def per_step_top_reduction(self, k, prev, curr, done):
     """Reference for F5Engine.top_reduction: one step per call, as in F5.
 
-    A zero payload counts as a reduction to zero.  With no reductor the
-    payload is stored monic and k completes.  Otherwise one step
+    Each call first stores the payload's normal form against the previous
+    basis (an S-polynomial's first one; a no-op on a payload stored by an
+    earlier call).  A zero payload counts as a reduction to zero.  With no
+    reductor the payload is stored monic and k completes.  Otherwise one step
     h + NF(-c*u*r) is made monic; a safe step stores it in place and
     requeues k (((), (k,))), an unsafe one appends it under the larger
     signature (((), (k, idx))).  top_reduction must store what this loop
@@ -647,6 +649,7 @@ def per_step_top_reduction(self, k, prev, curr, done):
     ring = self.ring
     store = self.store
     entry = store.entries[k]
+    store.set_poly(k, *reduce_payload(prev, entry.poly, entry.cofactors, self.it_stats))
     if entry.poly.is_zero():
         self.it_stats.chains += 1
         self.it_stats.zero_reductions += 1
