@@ -416,6 +416,13 @@ class PolynomialRing:
         return f"PolynomialRing(char={self.p}, names={self.names}, order={self.order.kind})"
 
 
+def one_ring(a: PolynomialRing, b: PolynomialRing) -> PolynomialRing:
+    """a, where b is the same ring (equal, if not identical); ValueError where not."""
+    if a is b or a == b:
+        return a
+    raise ValueError(f"polynomials must live in one ring: {a!r} and {b!r}")
+
+
 class Polynomial:
     """Sparse polynomial: packed terms strictly descending in the ring order.
 
@@ -478,7 +485,8 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def _merge(self, other: Polynomial, sign: int) -> Polynomial:
-        p = self.ring.p
+        ring = one_ring(self.ring, other.ring)
+        p = ring.p
         acc = dict(self.terms)
         get = acc.get
         for k, c in other.terms:
@@ -488,7 +496,7 @@ class Polynomial:
             else:
                 acc.pop(k, None)
         # keys are unique, so the tuples sort by key alone
-        return Polynomial(self.ring, tuple(sorted(acc.items(), reverse=True)))
+        return Polynomial(ring, tuple(sorted(acc.items(), reverse=True)))
 
     def __add__(self, other: Polynomial) -> Polynomial:
         return self._merge(other, 1)
@@ -556,14 +564,16 @@ def sum_products(ring: PolynomialRing, pairs) -> Polynomial:
     """sum(a * b for a, b in pairs): the one term-by-term product loop.
 
     Raw integer products accumulate in one dict; the sum is reduced mod p,
-    stripped of zeros and sorted once at the end.  Each nonzero pair passes
-    the packed-degree guard first, so a product whose total degree would not
-    pack raises ExponentOverflowError even if its terms cancel in the sum.
+    stripped of zeros and sorted once at the end.  A factor of another ring
+    raises ValueError, and a nonzero pair whose product's total degree would
+    not pack ExponentOverflowError, even if its terms cancel in the sum.
     """
     unit = ring.unit_key
     acc: dict[int, int] = {}
     get = acc.get
     for a, b in pairs:
+        if a.ring is not ring or b.ring is not ring:
+            one_ring(one_ring(ring, a.ring), b.ring)
         ta, tb = a.terms, b.terms
         if not ta or not tb:
             continue
@@ -629,8 +639,9 @@ class ReducerSet:
     instead); any choice yields the same normal form.  eliminations counts
     the eliminations of every fold against the set.  cofactors, when given,
     lists one cofactor vector (or None) per element of polys over some
-    reference system; zero polynomials are dropped with their vectors, a
-    length mismatch raises ValueError, and reduce_payload reads the vectors.
+    reference system; zero polynomials are dropped with their vectors, and
+    reduce_payload reads the vectors.  A length mismatch raises ValueError,
+    as does a polynomial of another ring, here or given to reduce_full.
     Under lex a tail can outgrow its head, so a candidate carries its
     tail's degree where that exceeds its head's (0 otherwise, and on graded
     rings), and fold_normal_form checks each such elimination.
@@ -643,6 +654,8 @@ class ReducerSet:
     def __init__(self, ring: PolynomialRing, polys, prefer: int = 1, cofactors=None):
         self.ring = ring
         polys = list(polys)
+        for g in polys:
+            one_ring(ring, g.ring)
         if cofactors is not None:
             cofactors = [c for g, c in zip(polys, cofactors, strict=True) if g]
         self.polys = [g for g in polys if g]
@@ -695,25 +708,15 @@ class ReducerSet:
     def reduce_full(self, f: Polynomial, stats=None, quotients=None) -> Polynomial:
         """Normal form of f: no remaining monomial is divisible by any head.
 
-        Each head elimination counts one reduction step on stats.  When
-        quotients is a list it receives accumulated {key: coeff} maps per
-        reducer (aligned with self.polys) describing the subtracted multiples.
-
-        The terms of f are looked up in order until the first one with a
-        divisor, and f itself is returned when no term reduces.  Otherwise
-        the irreducible prefix seeds a WorkingPayload, the rest of f is
-        folded into it (fold_normal_form with the unit monomial and factor
-        1), and the payload is returned as one sorted Polynomial.
+        A bare fold of all of f into an empty WorkingPayload (fold_normal_form
+        with the unit monomial and factor 1), returned as one sorted
+        Polynomial.  Each head elimination counts one reduction step on
+        stats.  When quotients is a list it receives accumulated {key: coeff}
+        maps per reducer (aligned with self.polys) describing the subtracted
+        multiples.
         """
-        terms = f.terms
-        find = self.find_divisor
-        for i, (key, _) in enumerate(terms):
-            if find(key) is not None:
-                break
-        else:
-            return f
-        payload = WorkingPayload(Polynomial(self.ring, terms[:i]))
-        self.fold_normal_form(payload, 0, 1, terms[i:], stats, quotients)
+        payload = WorkingPayload(one_ring(self.ring, f.ring).zero)
+        self.fold_normal_form(payload, 0, 1, f.terms, stats, quotients)
         return payload.poly()
 
     def fold_normal_form(self, payload: WorkingPayload, off: int, mfac: int, terms,
@@ -870,21 +873,16 @@ def reduce_payload(reducers, poly: Polynomial, cofs, stats):
 
     The q_j are the quotients reduce_full records against reducers.polys,
     whose cofactor vectors reducers.cofactors lists in the same order (see
-    subtract_quotients); cofs None passes through.
+    subtract_quotients); cofs None records none and passes through.
     """
-    if cofs is None:
-        return reducers.reduce_full(poly, stats=stats), None
-    quotients = [dict() for _ in reducers.polys]
+    quotients = None if cofs is None else [dict() for _ in reducers.polys]
     h = reducers.reduce_full(poly, stats=stats, quotients=quotients)
     return h, subtract_quotients(reducers.ring, cofs, quotients, reducers.cofactors)
 
 
 def normal_form(p: Polynomial, G, stats=None) -> Polynomial:
-    """Fully reduce p modulo G: head and tail monomials all end up irreducible."""
-    live = [g for g in G if g]
-    if not live or p.is_zero():
-        return p
-    return ReducerSet(p.ring, live).reduce_full(p, stats=stats)
+    """Fully reduce p modulo G, zeros ignored: every monomial ends up irreducible."""
+    return ReducerSet(p.ring, G).reduce_full(p, stats=stats)
 
 
 def _autoreduce(G):

@@ -275,43 +275,44 @@ class F5Engine:
         """Reduce queued S-polynomials; returns survivors in completion order.
 
         Each pop takes the minimal remaining signature and runs its whole
-        chain via top_reduction.  The heap holds the S-polynomials, raw in
-        the store until then, and the two entries of each unsafe split: a
+        chain via top_reduction.  The heap holds (signature, index, raw) for
+        the S-polynomials, raw in the store until then, and for the two
+        entries of each unsafe split, stored as normal forms (raw False): a
         safe step would requeue the minimum under its unchanged (signature,
         index) pair, which the next pop would take again.
         """
         sigs = self.store.sigs
-        queue = [(sigs[j], j) for j in todo]
+        queue = [(sigs[j], j, True) for j in todo]
         heapify(queue)
         done: list = []
         while queue:
-            k = heappop(queue)[1]
-            completed, redo = self.top_reduction(k, prev, curr, done)
+            _, k, raw = heappop(queue)
+            completed, redo = self.top_reduction(k, prev, curr, done, raw)
             done.extend(completed)
             for j in redo:
-                heappush(queue, (sigs[j], j))
+                heappush(queue, (sigs[j], j, False))
         return done
 
-    def top_reduction(self, k: int, prev: ReducerSet, curr, done):
+    def top_reduction(self, k: int, prev: ReducerSet, curr, done, raw: bool = True):
         """Run store entry k through its whole chain of safe top reductions.
 
         Returns (completed, redo): ((k,), ()) once no reductor is left, with
         k stored monic; ((), ()) for a reduction to zero, stored as zero;
         ((), (k, idx)) at an unsafe step, which stores k's payload and the
         step's monic result as the new entry idx with the larger signature.
-        The chain starts from the normal form of k's payload against the
-        previous basis and keeps it in one WorkingPayload: a step
-        h -> h - c*u*r drops h's head and folds NF(-c*u*tail(r)) into it
-        (normal forms are linear), so a payload is built, with one sort, only
-        where the store takes one after a step.  The payload is not made monic
-        between steps, so it holds lam times what a loop storing each step
-        monic would hold (lam = lc(h) after the last safe step, 1 before
-        any); k's payload stored at an unsafe split and a zero result's
-        cofactors are scaled by 1/lam, so every stored payload is the same.
-        Cofactors are updated once per stored payload: the chain's quotient
-        maps against the previous basis, its first normal form's included,
-        and its multiples c*u of each reductor r are subtracted from k's
-        vector with subtract_quotients.
+        The chain starts from k's payload, normal-formed against the previous
+        basis if raw (an unsafe split stores normal forms), and keeps it in
+        one WorkingPayload: a step h -> h - c*u*r drops h's head and folds
+        NF(-c*u*tail(r)) into it (normal forms are linear), so a payload is
+        built, with one sort, only where the store takes one after a step.
+        The payload is not made monic between steps, so it holds lam times
+        what a loop storing each step monic would hold (lam = lc(h) after the
+        last safe step, 1 before any); k's payload stored at an unsafe split
+        and a zero result's cofactors are scaled by 1/lam, so every stored
+        payload is the same.  Cofactors are updated once per stored payload:
+        the chain's quotient maps against the previous basis, a raw payload's
+        normal form's included, and its multiples c*u of each reductor r are
+        subtracted from k's vector with subtract_quotients.
         """
         ring, store, field = self.ring, self.store, self.ring.field
         stats = self.it_stats
@@ -332,7 +333,7 @@ class F5Engine:
             )
             return cofactors_scale(vec, inv)
 
-        nf = prev.reduce_full(entry.poly, stats, quotients)
+        nf = prev.reduce_full(entry.poly, stats, quotients) if raw else entry.poly
         h = WorkingPayload(nf)
         top, lam, stepped = h.head(), 1, False
         while top is not None:

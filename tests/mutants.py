@@ -69,6 +69,7 @@ INTERREDUCE_TESTS = (
 )
 KERNEL_TESTS = (  # the property tests last: shrinking a failure takes seconds
     "tests/test_algebra.py::test_reduce_full_fixed_cases_match_eager_reference",
+    "tests/test_algebra.py::test_reducing_again_reads_only_the_divisor_cache",
     "tests/test_algebra.py::test_fold_normal_form_fixed_cases",
     "tests/test_algebra.py::test_working_payload_reads_and_drops_its_head",
     "tests/test_algebra.py::test_engine_runs_eliminate_as_the_eager_kernel",
@@ -76,6 +77,13 @@ KERNEL_TESTS = (  # the property tests last: shrinking a failure takes seconds
     "tests/test_algebra.py::test_reduce_full_matches_eager_reference",
     "tests/test_algebra.py::test_fold_normal_form_matches_reduce_full",
 )
+SUM_PRODUCTS_TESTS = (  # the property test last
+    "tests/test_algebra.py::test_products_past_the_packed_degree_raise",
+    "tests/test_algebra.py::test_sum_products_fixed_cases_match_reference",
+    "tests/test_algebra.py::test_sum_products_edge_cases",
+    "tests/test_algebra.py::test_sum_products_and_mul_match_exponent_tuple_reference",
+)
+RING_TESTS = ("tests/test_algebra.py::test_polynomials_of_two_rings_raise",)
 LCM_TESTS = (
     "tests/test_algebra.py::test_products_past_the_packed_degree_raise",
     "tests/test_algebra.py::test_lcms_is_the_lcm_of_each_key",
@@ -289,6 +297,15 @@ MUTANTS = (
         CRITERIA_TESTS,
     ),
     Mutant(
+        # the entries an unsafe split requeues, normal forms already, are
+        # normal-formed again: the same stores, but more reduce_full calls
+        "requeued-entry-normal-formed-again",
+        "engine.py",
+        "heappush(queue, (sigs[j], j, False))",
+        "heappush(queue, (sigs[j], j, True))",
+        ("tests/test_engine.py::test_requeued_entries_are_not_normal_formed_again",),
+    ),
+    Mutant(
         "chain-unscaled-store",
         "engine.py",
         "            if not safe:  # k as a step-by-step loop stored it\n"
@@ -343,10 +360,10 @@ MUTANTS = (
         KERNEL_TESTS,
     ),
     Mutant(
-        "prefix-dropped",
+        "reduce-full-skips-first-term",
         "algebra.py",
-        "        payload = WorkingPayload(Polynomial(self.ring, terms[:i]))\n",
-        "        payload = WorkingPayload(self.ring.zero)\n",
+        "self.fold_normal_form(payload, 0, 1, f.terms, stats, quotients)",
+        "self.fold_normal_form(payload, 0, 1, f.terms[1:], stats, quotients)",
         KERNEL_TESTS,
     ),
     Mutant(
@@ -432,6 +449,66 @@ MUTANTS = (
         "        cands[i] = shared._candidate(i)\n",
         "        cands[i] = cands[i][:4] + (tail.terms, cands[i][5])\n",
         LEX_GUARD_TESTS,
+    ),
+    # -- the one term-by-term product loop (algebra.sum_products)
+    Mutant(
+        "products-degree-unguarded",
+        "algebra.py",
+        "        if not (ring._graded and ta[0][0] + tb[0][0] < ring._deg_cap):\n"
+        "            ring.check_degree(a.degree() + b.degree())\n",
+        "",
+        SUM_PRODUCTS_TESTS,
+    ),
+    Mutant(
+        "products-guard-graded-only",
+        "algebra.py",
+        "        if not (ring._graded and ta[0][0] + tb[0][0] < ring._deg_cap):\n",
+        "        if ring._graded and ta[0][0] + tb[0][0] >= ring._deg_cap:\n",
+        SUM_PRODUCTS_TESTS,
+    ),
+    Mutant(
+        # a lex head need not be its polynomial's largest-degree term
+        "products-guard-head-degrees-only",
+        "algebra.py",
+        "            ring.check_degree(a.degree() + b.degree())\n",
+        "            ring.check_degree(ring.key_degree(ta[0][0]) + ring.key_degree(tb[0][0]))\n",
+        SUM_PRODUCTS_TESTS,
+    ),
+    Mutant(
+        "products-sum-without-mod-p",
+        "algebra.py",
+        "    terms = [(k, r) for k, c in acc.items() if (r := c % p)]\n",
+        "    terms = [(k, c) for k, c in acc.items() if c]\n",
+        SUM_PRODUCTS_TESTS,
+    ),
+    # -- polynomials of two rings never combine (algebra.one_ring and its callers)
+    Mutant(
+        "merge-ring-unchecked",
+        "algebra.py",
+        "        ring = one_ring(self.ring, other.ring)\n",
+        "        ring = self.ring\n",
+        RING_TESTS,
+    ),
+    Mutant(
+        "products-ring-unchecked",
+        "algebra.py",
+        "            one_ring(one_ring(ring, a.ring), b.ring)\n",
+        "            pass\n",
+        RING_TESTS,
+    ),
+    Mutant(
+        "reducer-set-ring-unchecked",
+        "algebra.py",
+        "        for g in polys:\n            one_ring(ring, g.ring)\n",
+        "",
+        RING_TESTS,
+    ),
+    Mutant(
+        "reduce-full-ring-unchecked",
+        "algebra.py",
+        "WorkingPayload(one_ring(self.ring, f.ring).zero)",
+        "WorkingPayload(self.ring.zero)",
+        RING_TESTS,
     ),
     # -- the packed-key lcm (algebra.PolynomialRing.lcms; lcm is its one-pair case)
     Mutant(

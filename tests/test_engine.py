@@ -193,8 +193,8 @@ def test_unsafe_branch_organic_system_certified():
     unsafe = [0]
     orig = eng.F5Engine.top_reduction
 
-    def counting(self, k, prev, curr, done):
-        completed, redo = orig(self, k, prev, curr, done)
+    def counting(self, k, prev, curr, done, raw):
+        completed, redo = orig(self, k, prev, curr, done, raw)
         if len(redo) == 2:
             unsafe[0] += 1
         return completed, redo
@@ -208,6 +208,34 @@ def test_unsafe_branch_organic_system_certified():
         eng.F5Engine.top_reduction = orig
     assert interreduce(certified.basis) == reduced.basis == buchberger_reduced(gens)
     assert certified.stats.zero_reductions == 5
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
+def test_requeued_entries_are_not_normal_formed_again(certified, monkeypatch):
+    # an unsafe split requeues k and the split's new entry, both stored as
+    # normal forms against the previous basis: only a raw S-polynomial's
+    # chain starts with reduce_full, whose engine calls are the ones that
+    # pass stats, so they number chains - 2 * unsafe_splits
+    from f5gb.bench import cyclic, katsura
+    from f5gb.drivers import VARIANTS, VariantConfig, run_variant
+
+    calls = [0]
+    orig = ReducerSet.reduce_full
+
+    def counted(self, f, stats=None, quotients=None):
+        calls[0] += stats is not None
+        return orig(self, f, stats, quotients)
+
+    monkeypatch.setattr(ReducerSet, "reduce_full", counted)
+    splits = 0
+    for F in (unsafe_system(), cyclic(5, 101), katsura(4, 101)):
+        for variant in VARIANTS:
+            calls[0] = 0
+            its = run_variant(F, VariantConfig(variant, certified=certified)).stats.iterations
+            unsafe = sum(it.unsafe_splits for it in its)
+            assert calls[0] == sum(it.chains for it in its) - 2 * unsafe, (F, variant)
+            splits += unsafe
+    assert splits
 
 
 def test_top_reduction_safe_branch_rewrites_in_place():
@@ -734,13 +762,14 @@ def test_chained_top_reduction_matches_the_per_step_reference(certified, monkeyp
     observed = {"calls": 0, "unsafe": 0}
     orig_top = F5Engine.top_reduction
 
-    def chained_top(self, k, prev, curr, done):
-        completed, redo = orig_top(self, k, prev, curr, done)
+    def chained_top(self, k, prev, curr, done, raw):
+        completed, redo = orig_top(self, k, prev, curr, done, raw)
         observed["calls"] += 1
         observed["unsafe"] += len(redo) == 2
         return completed, redo
 
-    def reference(self, k, prev, curr, done):
+    def reference(self, k, prev, curr, done, raw):
+        # the per-step loop normal-forms every entry, raw or not
         completed, redo = per_step_top_reduction(self, k, prev, curr, done)
         if redo:
             branches["safe" if len(redo) == 1 else "unsafe"] += 1
