@@ -636,8 +636,10 @@ class ReducerSet:
     memoized, so reusing one ReducerSet across many reductions against the
     same basis amortizes the divisor search.  Ties between several dividing
     heads go to the largest by default (prefer=-1 selects the smallest
-    instead); any choice yields the same normal form.  eliminations counts
-    the eliminations of every fold against the set.  cofactors, when given,
+    instead).  Against a Groebner basis every choice yields the same normal
+    form, which is unique, though not the same work; against other input
+    the normal form can depend on the choice.  eliminations counts the
+    eliminations of every fold against the set.  cofactors, when given,
     lists one cofactor vector (or None) per element of polys over some
     reference system; zero polynomials are dropped with their vectors, and
     reduce_payload reads the vectors.  A length mismatch raises ValueError,
@@ -685,7 +687,11 @@ class ReducerSet:
         return (hk, ring.word(hk), ring.field.inv(hc), pos, tail, tail_deg)
 
     def find_divisor(self, key: int):
-        """Candidate with the largest head dividing the keyed monomial, or None."""
+        """Candidate whose head divides the keyed monomial, or None.
+
+        The largest such head, or with prefer=-1 the smallest; the answer is
+        memoized per key.
+        """
         hit = self._cache.get(key, 0)
         if hit != 0:
             return hit
@@ -710,8 +716,8 @@ class ReducerSet:
 
         A bare fold of all of f into an empty WorkingPayload (fold_normal_form
         with the unit monomial and factor 1), returned as one sorted
-        Polynomial.  Each head elimination counts one reduction step on
-        stats.  When quotients is a list it receives accumulated {key: coeff}
+        Polynomial.  Each head elimination counts one reduction step, and
+        its reducer's tail terms as term ops, on stats.  When quotients is a list it receives accumulated {key: coeff}
         maps per reducer (aligned with self.polys) describing the subtracted
         multiples.
         """
@@ -736,7 +742,8 @@ class ReducerSet:
         popped in descending order, and every key an elimination adds lies
         below the popped one, so a pending key's coefficient is final when
         popped.  Each elimination counts one step on self.eliminations and on
-        stats, and adds to quotients as reduce_full describes.  The monomial
+        stats, and the reducer tail terms it adds on stats.term_ops, and adds
+        to quotients as reduce_full describes.  The monomial
         enters as off = key - ring.unit_key for its key.  Under lex a tail
         can outgrow its head, so the incoming multiple, and each elimination
         by a candidate with a tail degree, has its degree checked before its
@@ -753,7 +760,7 @@ class ReducerSet:
         get = coeffs.get
         pending: list[int] = []
         pop, push = _heappop, _heappush
-        steps = 0
+        steps = term_ops = 0
         while True:
             if tail_deg:
                 ring.check_degree(kd(off + unit) + tail_deg)
@@ -780,6 +787,7 @@ class ReducerSet:
                 break
             gk, _, inv_lc, pos, terms, tail_deg = cache[key]
             steps += 1
+            term_ops += len(terms)
             fac = (c * inv_lc) % p
             if quotients is not None:
                 qk = ring.key_div(key, gk)
@@ -790,6 +798,7 @@ class ReducerSet:
         self.eliminations += steps
         if stats is not None:
             stats.reduction_steps += steps
+            stats.term_ops += term_ops
 
 
 class WorkingPayload:
@@ -919,7 +928,8 @@ def reduced_basis(G, cofs, stats=None):
     reduced, and whose cofactors lists their vectors (None for None);
     dropped lists the elements head minimization removed.  The set's
     divisor cache stays valid, so it can serve as a reduction target
-    next.  For a Groebner basis G, reducers.polys is its reduced basis and
+    next, where it takes the smallest dividing head (the tail pass takes
+    the largest).  For a Groebner basis G, reducers.polys is its reduced basis and
     every dropped element reduces to zero against it; nothing here checks
     that (interreduce and interreduce_with_cofactors do).  With stats,
     stats.interreduction_steps counts the tail pass's eliminations and
@@ -955,6 +965,11 @@ def reduced_basis(G, cofs, stats=None):
         tail, vecs[i] = reduce_payload(shared, Polynomial(ring, g.terms[1:]), vecs[i], None)
         polys[i] = Polynomial(ring, g.terms[:1] + tail.terms)
         cands[i] = shared._candidate(i)
+    # against the set, a Groebner basis if G is one, the smallest dividing
+    # head does less work than the largest; on the tails it did more
+    # (katsura-6 f5r: 936 eliminations against 699).  The divisors cached
+    # so far still divide their keys, so they stay.
+    shared._prefer = -1
     if stats is not None:
         stats.interreduction_steps += shared.eliminations
         stats.dropped += len(dropped)
@@ -990,7 +1005,10 @@ def interreduce_with_cofactors(G, cofs):
 
 
 def homogenize(polys, var: str = "h"):
-    """Homogenize with one fresh lowest-precedence variable; returns (ring, polys)."""
+    """Homogenize with one fresh lowest-precedence variable; returns (ring, polys).
+
+    A polynomial of another ring than the first one's raises ValueError.
+    """
     if not polys:
         raise ValueError("nothing to homogenize")
     ring = polys[0].ring
@@ -1003,6 +1021,7 @@ def homogenize(polys, var: str = "h"):
     new_ring = PolynomialRing(ring.p, ring.names + (var,), ring.order.kind)
     out = []
     for f in polys:
+        one_ring(ring, f.ring)
         if f.is_zero():
             out.append(new_ring.zero)
             continue

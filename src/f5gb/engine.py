@@ -38,7 +38,10 @@ class IterationStats:
     critical_pairs drops by the F5 criterion and by the rewritten
     criterion, and spolys_rewritten the kept pairs compute_spols drops as
     rewritten, so the kept pairs (pairs_by_degree) are spolys +
-    spolys_rewritten; none of the three is in totals().
+    spolys_rewritten; none of the three is in totals().  term_ops counts
+    the reducer tail terms that the eliminations against the previous basis
+    add (fold_normal_form's part of reduction_steps; a top-reduction step
+    adds none); it is not in totals() either.
     """
 
     i: int
@@ -46,6 +49,7 @@ class IterationStats:
     pairs_by_degree: dict = field(default_factory=dict)
     spolys: int = 0
     reduction_steps: int = 0
+    term_ops: int = 0
     zero_reductions: int = 0
     safe_steps: int = 0
     unsafe_splits: int = 0

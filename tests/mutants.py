@@ -84,6 +84,11 @@ SUM_PRODUCTS_TESTS = (  # the property test last
     "tests/test_algebra.py::test_sum_products_and_mul_match_exponent_tuple_reference",
 )
 RING_TESTS = ("tests/test_algebra.py::test_polynomials_of_two_rings_raise",)
+RUN_STATS_TESTS = ("tests/test_engine.py::test_run_stats_golden",)
+ORACLE_CHOICE_TESTS = (
+    "tests/test_drivers.py::test_oracle_reduces_against_the_smallest_dividing_head",
+)
+SCAN_TESTS = ("tests/test_engine.py::test_find_reductor_scans_only_the_current_iteration",)
 LCM_TESTS = (
     "tests/test_algebra.py::test_products_past_the_packed_degree_raise",
     "tests/test_algebra.py::test_lcms_is_the_lcm_of_each_key",
@@ -510,6 +515,45 @@ MUTANTS = (
         "WorkingPayload(self.ring.zero)",
         RING_TESTS,
     ),
+    Mutant(
+        "homogenize-ring-unchecked",
+        "algebra.py",
+        "    for f in polys:\n        one_ring(ring, f.ring)\n",
+        "    for f in polys:\n",
+        RING_TESTS,
+    ),
+    # -- the reducer choice: the smallest dividing head against a Groebner
+    #    basis (drivers.run_variant, algebra.reduced_basis and
+    #    drivers.buchberger_reduced); the same results, other work
+    Mutant(
+        "f5-prev-largest-head",
+        "drivers.py",
+        "ReducerSet(ring, polys, prefer=-1, cofactors=cofs)",
+        "ReducerSet(ring, polys, cofactors=cofs)",
+        RUN_STATS_TESTS,
+    ),
+    Mutant(
+        # f5r's carried set and f5c's rebuilt one keep the tail pass's choice
+        "carried-set-largest-head",
+        "algebra.py",
+        "    shared._prefer = -1\n",
+        "",
+        RUN_STATS_TESTS,
+    ),
+    Mutant(
+        "oracle-largest-head",
+        "drivers.py",
+        "ReducerSet(h.ring, [g[0] for g in G], prefer=-1)",
+        "ReducerSet(h.ring, [g[0] for g in G])",
+        ORACLE_CHOICE_TESTS,
+    ),
+    Mutant(
+        "tail-pass-smallest-head",
+        "algebra.py",
+        "    shared = ReducerSet(ring, kept, cofactors=kcofs)\n",
+        "    shared = ReducerSet(ring, kept, prefer=-1, cofactors=kcofs)\n",
+        TAIL_PASS_TESTS,
+    ),
     # -- the packed-key lcm (algebra.PolynomialRing.lcms; lcm is its one-pair case)
     Mutant(
         "lcm-selects-minimum",
@@ -603,6 +647,45 @@ MUTANTS = (
         equivalent="no find_reductor call in f5, f5r or f5c on katsura-5/6, cyclic-5/6"
         " or 3,000 random 3-variable systems has two candidates that pass all three"
         " safety tests, so the scan order never decides",
+    ),
+    # -- the candidates F5Engine.find_reductor scans: this iteration's
+    #    elements (incremental_basis), each through three safety tests
+    Mutant(
+        "reductor-scan-done-dropped",
+        "engine.py",
+        "        for j in chain(curr, done):\n",
+        "        for j in curr:\n",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        # no head of the previous basis divides a normal form against it, so
+        # only the check of the scanned list sees this one
+        "reductor-scan-previous-basis-again",
+        "engine.py",
+        "self.reduction(todo, prev, curr[len(prev_indices):])",
+        "self.reduction(todo, prev, curr)",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        "reductor-scan-new-input-left-out",
+        "engine.py",
+        "self.reduction(todo, prev, curr[len(prev_indices):])",
+        "self.reduction(todo, prev, curr[len(prev_indices) + 1:])",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        "reductor-rewritten-test-dropped",
+        "engine.py",
+        "                and not is_rewritable(u_key, sigs[j], j)\n",
+        "",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        "reductor-previous-basis-test-dropped",
+        "engine.py",
+        "                and not is_top_reducible(new_sig & mask)\n",
+        "",
+        SCAN_TESTS,
     ),
     # -- the system-file parser (cli.parse_polynomial and parse_system)
     Mutant(

@@ -505,6 +505,7 @@ def _two_ring_cases():
         "reduce_full": lambda: ReducerSet(r7, [x7]).reduce_full(x11 * x11),
         "interreduce": lambda: interreduce([f7, g11]),
         "buchberger_reduced": lambda: buchberger_reduced([f7, g11]),
+        "homogenize": lambda: homogenize([f7, g11]),
     }
 
 
@@ -718,6 +719,7 @@ def test_normal_form_against_other_reduced_basis_members():
 def test_normal_form_counts_steps():
     class Stats:
         reduction_steps = 0
+        term_ops = 0
 
     ring = PolynomialRing(101, ("x", "y"))
     g = P(ring, (1, (1, 0)), (1, (0, 1)))  # x + y
@@ -726,12 +728,14 @@ def test_normal_form_counts_steps():
     r = normal_form(f, [g], stats=stats)
     assert r == P(ring, (-1, (0, 3)))
     assert stats.reduction_steps == 3
+    assert stats.term_ops == 3  # each step adds the one tail term of g
 
 
 def eager_reduce_full(rs, f, stats=None, quotients=None):
     """The eager reduce_full, the reference the kernel must match: every term
     operation reduces mod p and deletes a key that cancels, and every call
-    builds its dict and heap from all of f."""
+    builds its dict and heap from all of f.  Each elimination counts one
+    step and its reducer's tail terms on stats."""
     if not f.terms:
         return f
     ring = rs.ring
@@ -740,7 +744,7 @@ def eager_reduce_full(rs, f, stats=None, quotients=None):
     work = dict(f.terms)
     heap = sorted(-k for k in work)
     out = []
-    steps = 0
+    steps = term_ops = 0
     while heap:
         key = -heappop(heap)
         c = work.pop(key, 0)
@@ -752,6 +756,7 @@ def eager_reduce_full(rs, f, stats=None, quotients=None):
             continue
         gk, _, inv_lc, pos, tail = cand[:5]
         steps += 1
+        term_ops += len(tail)
         fac = (c * inv_lc) % p
         if quotients is not None:
             qk = ring.key_div(key, gk)
@@ -775,11 +780,13 @@ def eager_reduce_full(rs, f, stats=None, quotients=None):
                     del work[nk]
     if stats is not None:
         stats.reduction_steps += steps
+        stats.term_ops += term_ops
     return Polynomial(ring, tuple(out))
 
 
 class _Steps:
     reduction_steps = 0
+    term_ops = 0
 
 
 class _RecordingReducerSet(ReducerSet):
@@ -820,13 +827,13 @@ def _assert_each_key_looked_up_once(keys):
 
 
 def _run_kernel(kernel, ring, G, f, prefer):
-    """(result, steps, quotient maps, elimination log, looked-up keys) of
-    one reduction."""
+    """(result, (steps, term ops), quotient maps, elimination log,
+    looked-up keys) of one reduction."""
     rs = _RecordingReducerSet(ring, G, prefer=prefer)
     stats = _Steps()
     quotients, log = _logged_quotients(len(rs.polys))
     result = kernel(rs, f, stats=stats, quotients=quotients)
-    return result, stats.reduction_steps, quotients, log, rs.keys
+    return result, (stats.reduction_steps, stats.term_ops), quotients, log, rs.keys
 
 
 def _check_against_eager(ring, G, f, prefer=1):
@@ -938,14 +945,15 @@ def test_engine_runs_eliminate_as_the_eager_kernel(F, monkeypatch):
         got_q, got_log = _logged_quotients(len(rs.polys))
         ref_q, ref_log = _logged_quotients(len(rs.polys))
         ref_stats = _Steps()
-        before = stats.reduction_steps if stats is not None else 0
+        before = (stats.reduction_steps, stats.term_ops) if stats is not None else None
         result, keys = logged(kernel, rs, f, stats, got_q)
         expected, ref_keys = logged(eager_reduce_full, rs, f, ref_stats, ref_q)
         _assert_each_key_looked_up_once(keys)
         assert result.terms == expected.terms
         assert got_q == ref_q and got_log == ref_log
         if stats is not None:
-            assert stats.reduction_steps - before == ref_stats.reduction_steps
+            assert stats.reduction_steps - before[0] == ref_stats.reduction_steps
+            assert stats.term_ops - before[1] == ref_stats.term_ops
         for q, g in zip(quotients or (), got_q):
             q.update(g)
         compared.append(len(ref_keys))
@@ -977,9 +985,10 @@ def test_reducing_again_reads_only_the_divisor_cache():
 def _fold_and_reference(ring, G, f, folds, prefer=1):
     """Fold each (u, c, r) of folds into the normal form of f, once with
     fold_normal_form and once as h + eager_reduce_full(c*u*r) on a reducer
-    set of its own; assert that both give the same terms, steps, quotient
-    maps and elimination order after every fold, that no fold passes a key
-    to find_divisor twice, and return the folded payload's terms."""
+    set of its own; assert that both give the same terms, steps, term ops,
+    quotient maps and elimination order after every fold, that no fold
+    passes a key to find_divisor twice, and return the folded payload's
+    terms."""
     rs = _RecordingReducerSet(ring, G, prefer=prefer)
     ref = ReducerSet(ring, G, prefer=prefer)
     h = eager_reduce_full(ref, f)
@@ -997,6 +1006,7 @@ def _fold_and_reference(ring, G, f, folds, prefer=1):
         assert got.terms == h.terms
         assert payload.head() == (h.terms[0] if h else None)
         assert got_stats.reduction_steps == want_stats.reduction_steps
+        assert got_stats.term_ops == want_stats.term_ops
         assert got_q == want_q and got_log == want_log
     return payload.poly()
 

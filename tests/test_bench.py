@@ -120,6 +120,7 @@ def test_stats_serialization_schema():
             "pairs_by_degree",
             "spolys",
             "reduction_steps",
+            "term_ops",
             "zero_reductions",
             "safe_steps",
             "unsafe_splits",

@@ -19,7 +19,7 @@ from f5gb.algebra import (
     normal_form,
     spoly,
 )
-from f5gb.bench import cyclic
+from f5gb.bench import cyclic, katsura
 from f5gb.drivers import (
     VARIANTS,
     VariantConfig,
@@ -505,6 +505,97 @@ def test_oracle_agreement_small_suite():
         assert interreduce(f5r(F).basis) == oracle
         assert f5c(F).basis == oracle
         assert groebner_check(f5(F).basis)
+
+
+# ---------------------------------------------------------------------------
+# the reducer choice: the smallest dividing head against a Groebner basis
+
+
+def _checked_spolys(G, monkeypatch):
+    """(f, g) for each S-polynomial groebner_check(G) reduces, G a Groebner basis."""
+    pairs = []
+
+    def recorded(f, g):
+        pairs.append((f, g))
+        return spoly(f, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(f5gb.drivers, "spoly", recorded)
+        assert groebner_check(G)
+    return pairs
+
+
+@pytest.mark.parametrize("p", [32003, 101])
+@pytest.mark.parametrize("name", ["katsura-5", "cyclic-5"])
+def test_reducer_choice_changes_work_not_results(name, p, monkeypatch):
+    # against a Groebner basis normal forms are unique: the largest
+    # (prefer=1) and the smallest (prefer=-1) dividing head reduce each
+    # S-polynomial groebner_check forms (to zero) and its lcm monomial (to
+    # the same standard form) alike, on f5's raw basis (a Groebner basis,
+    # not reduced) and on the reduced basis, but in other numbers of
+    # eliminations
+    F = (katsura if name == "katsura-5" else cyclic)(5, p)
+    raw = f5(F).basis
+    for G in (raw, interreduce(raw)):
+        ring = G[0].ring
+        largest, smallest = ReducerSet(ring, G), ReducerSet(ring, G, prefer=-1)
+        standard = 0
+        for f, g in _checked_spolys(G, monkeypatch):
+            s = spoly(f, g)
+            assert largest.reduce_full(s) == smallest.reduce_full(s) == ring.zero
+            lcm = ring.one.term_mul_key(ring.lcm(f.lt_key(), g.lt_key()), 1)
+            nf = largest.reduce_full(lcm)
+            assert smallest.reduce_full(lcm) == nf
+            standard += bool(nf)
+        assert standard
+        assert largest.eliminations != smallest.eliminations
+
+
+def test_reducer_choice_decides_normal_forms_off_a_groebner_basis():
+    # {x + z, x*y + z^2} is no Groebner basis (its S-polynomial y*z - z^2
+    # does not reduce), and the two heads that divide x*y reduce it to two
+    # different normal forms.  So the choice is free only against a
+    # Groebner basis, and normal_form and interreduce's fallback, whose
+    # input need not be one, keep the largest head
+    ring = PolynomialRing(32003, ("x", "y", "z"))
+    G = polys(ring, "x + z", "x*y + z^2")
+    f = poly(ring, "x*y")
+    assert not groebner_check(G)
+    assert ReducerSet(ring, G).reduce_full(f) == poly(ring, "-z^2")
+    assert ReducerSet(ring, G, prefer=-1).reduce_full(f) == poly(ring, "-y*z")
+    assert normal_form(f, G) == poly(ring, "-z^2")
+
+
+def _oracle_run(F, monkeypatch, prefer=None):
+    """(basis, eliminations) of buchberger_reduced(F), the eliminations
+    summed over the running sets it builds; prefer, where given, replaces
+    the choice each set is built with."""
+    sets = []
+
+    def built(*args, **kwargs):
+        if prefer is not None:
+            kwargs["prefer"] = prefer
+        sets.append(ReducerSet(*args, **kwargs))
+        return sets[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(f5gb.drivers, "ReducerSet", built)
+        basis = buchberger_reduced(F)
+    return basis, sum(rs.eliminations for rs in sets)
+
+
+@pytest.mark.parametrize("name", ["katsura-5", "cyclic-5"])
+def test_oracle_reduces_against_the_smallest_dividing_head(name, monkeypatch):
+    # the oracle's running set is no Groebner basis until the end, so the
+    # choice changes the elements it adds, but not the reduced basis it
+    # returns, which is unique.  It takes the smallest head: on katsura-6
+    # its running sets eliminate 17,911 times, against 18,466 with the
+    # largest (cyclic-6: 16,838 against 16,571)
+    F = (katsura if name == "katsura-5" else cyclic)(5)
+    basis, eliminations = _oracle_run(F, monkeypatch)
+    assert _oracle_run(F, monkeypatch, prefer=-1) == (basis, eliminations)
+    largest = _oracle_run(F, monkeypatch, prefer=1)
+    assert largest[0] == basis and largest[1] != eliminations
 
 
 # ---------------------------------------------------------------------------
