@@ -894,30 +894,6 @@ def normal_form(p: Polynomial, G, stats=None) -> Polynomial:
     return ReducerSet(p.ring, G).reduce_full(p, stats=stats)
 
 
-def _autoreduce(G):
-    """Fixpoint interreduction: interreduce's fallback for non-Groebner input."""
-    live = [g.monic() for g in G if g]
-    changed = True
-    while changed:
-        changed = False
-        live.sort(key=lambda g: g.lt_key())
-        pos = 0
-        while pos < len(live):
-            g = live[pos]
-            r = normal_form(g, live[:pos] + live[pos + 1:])
-            if r == g:
-                pos += 1
-                continue
-            changed = True
-            if r.is_zero():
-                live.pop(pos)
-            else:
-                live[pos] = r.monic()
-                pos += 1
-    live.sort(key=lambda g: g.lt_key())
-    return live
-
-
 def reduced_basis(G, cofs, stats=None):
     """Head minimization, then one tail pass against one shared ReducerSet.
 
@@ -931,7 +907,8 @@ def reduced_basis(G, cofs, stats=None):
     next, where it takes the smallest dividing head (the tail pass takes
     the largest).  For a Groebner basis G, reducers.polys is its reduced basis and
     every dropped element reduces to zero against it; nothing here checks
-    that (interreduce and interreduce_with_cofactors do).  With stats,
+    that (interreduce reduces them again in a next round, and
+    interreduce_with_cofactors raises).  With stats,
     stats.interreduction_steps counts the tail pass's eliminations and
     stats.dropped the removed elements.
     """
@@ -977,17 +954,27 @@ def reduced_basis(G, cofs, stats=None):
 
 
 def interreduce(G):
-    """The unique reduced basis of a Groebner basis G.
+    """An interreduced basis of the ideal of G; of a Groebner basis, its reduced basis.
 
     Every output is monic, no monomial of any element is divisible by the
     head of another, and the result is sorted ascending by head monomial.
-    Zero polynomials are dropped.  Uniqueness holds when G is a Groebner
-    basis of its ideal (the caller's obligation); input whose dropped
-    elements do not reduce to zero against reduced_basis's result falls
-    back to a fixpoint interreduction.
+    Zero polynomials are dropped.  The nonzero inputs are sorted by their
+    terms first, so the result depends only on the multiset of inputs.
+    Then reduced_basis runs in rounds: the nonzero normal forms of a
+    round's dropped elements against its result join that result in the
+    next round, until none is left.  Each such normal form has a head no
+    kept head divides, so the ideal of the heads grows every round, and
+    Dickson's lemma ends the loop; a Groebner basis takes one round.  For
+    other input the result is one interreduced basis of the ideal, not a
+    unique one.
     """
-    reducers, dropped = reduced_basis(G, [None] * len(G))
-    return _autoreduce(G) if any(map(reducers.reduce_full, dropped)) else reducers.polys
+    G = sorted((g for g in G if g), key=lambda g: g.terms)
+    while True:
+        reducers, dropped = reduced_basis(G, [None] * len(G))
+        rest = [r for r in map(reducers.reduce_full, dropped) if r]
+        if not rest:
+            return reducers.polys
+        G = reducers.polys + rest
 
 
 def interreduce_with_cofactors(G, cofs):

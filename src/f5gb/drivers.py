@@ -26,8 +26,8 @@ f5c), groebner_check's, and the oracle's running set, whose unique reduced
 basis does not depend on the pick.  Against f5's raw basis it saves the
 most (katsura-8: 5,584,563 reduction steps, against 8,708,308 with the
 largest).  The largest stays in reduced_basis's tail pass, where it did
-less, and in the public normal_form and interreduce's fallback, whose input
-need not be a Groebner basis.
+less, and in the public normal_form, whose input need not be a Groebner
+basis.
 
 buchberger_reduced is the correctness oracle: a Buchberger loop under the
 Gebauer-Moller criteria.  It shares no signature code with the engine, but it
@@ -50,6 +50,7 @@ from .algebra import (
     # unused here, but perfbench/tracer.py wraps drivers.interreduce_with_cofactors
     interreduce_with_cofactors,
     normal_form,  # unused here, but perfbench/tracer.py wraps drivers.normal_form
+    one_ring,
     reduced_basis,
     spoly,
 )
@@ -86,10 +87,10 @@ def _prepare_inputs(F, variant: str):
     fs = list(F)
     if not fs:
         raise ValueError("empty input system")
-    ring = fs[0].ring
     for f in fs:
-        if not isinstance(f, Polynomial) or f.ring != ring:
-            raise ValueError("all inputs must live in one ring")
+        if not isinstance(f, Polynomial):
+            raise ValueError(f"not a polynomial: {f!r}")
+        ring = one_ring(fs[0].ring, f.ring)
         if f.is_zero():
             raise ZeroPolynomialError("zero polynomial in the input system")
         if not f.is_homogeneous():

@@ -65,6 +65,7 @@ CARRY_TESTS = (
 INTERREDUCE_TESTS = (
     "tests/test_algebra.py::test_interreduce_trivial_cases",
     "tests/test_algebra.py::test_interreduce_properties_randomized",
+    "tests/test_algebra.py::test_interreduce_result_does_not_depend_on_input_order",
     "tests/test_algebra.py::test_interreduce_with_cofactors_rejects_non_groebner_input",
 )
 KERNEL_TESTS = (  # the property tests last: shrinking a failure takes seconds
@@ -185,11 +186,20 @@ MUTANTS = (
         TAIL_PASS_TESTS,
     ),
     Mutant(
+        # one round only: the dropped elements' nonzero normal forms are lost
         "public-interreduce-skips-check",
         "algebra.py",
-        "    return _autoreduce(G) if any(map(reducers.reduce_full, dropped))"
-        " else reducers.polys\n",
-        "    return reducers.polys\n",
+        "        if not rest:\n            return reducers.polys\n",
+        "        return reducers.polys\n",
+        INTERREDUCE_TESTS,
+    ),
+    Mutant(
+        # the rounds see the input in the caller's order: on input that is
+        # not a Groebner basis, the result can depend on that order
+        "interreduce-input-order-kept",
+        "algebra.py",
+        "    G = sorted((g for g in G if g), key=lambda g: g.terms)\n",
+        "    G = [g for g in G if g]\n",
         INTERREDUCE_TESTS,
     ),
     # -- the reduction target each iteration carries forward

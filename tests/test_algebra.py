@@ -19,7 +19,6 @@ from f5gb.algebra import (
     TermOrder,
     WorkingPayload,
     ZeroPolynomialError,
-    _autoreduce,
     homogenize,
     interreduce,
     interreduce_with_cofactors,
@@ -38,7 +37,7 @@ from f5gb.algebra import (
     top_reduce_step,
 )
 from f5gb.bench import cyclic, katsura
-from f5gb.drivers import VARIANTS, VariantConfig, buchberger_reduced, run_variant
+from f5gb.drivers import VARIANTS, VariantConfig, buchberger_reduced, f5, run_variant
 
 
 def ring_xyzt(p=32003, order="grevlex"):
@@ -489,8 +488,8 @@ def test_sum_products_edge_cases():
 
 
 def _two_ring_cases():
-    """Name -> a call that combines polynomials of two rings: x^2 - y over
-    F_7 with x*y over F_11, and a grevlex ring with a lex one."""
+    """Name -> a call that combines polynomials of two rings: x^2 - y (or
+    x*y) over F_7 with x*y over F_11, and a grevlex ring with a lex one."""
     r7, r11 = PolynomialRing(7, ("x", "y")), PolynomialRing(11, ("x", "y"))
     lex7 = PolynomialRing(7, ("x", "y"), "lex")
     x7, y7, x11, y11 = r7.variable("x"), r7.variable("y"), r11.variable("x"), r11.variable("y")
@@ -505,6 +504,9 @@ def _two_ring_cases():
         "reduce_full": lambda: ReducerSet(r7, [x7]).reduce_full(x11 * x11),
         "interreduce": lambda: interreduce([f7, g11]),
         "buchberger_reduced": lambda: buchberger_reduced([f7, g11]),
+        # f5 takes homogeneous input only
+        "f5": lambda: f5([x7 * y7, g11]),
+        "run_variant": lambda: run_variant([x7 * y7, g11], VariantConfig("f5c")),
         "homogenize": lambda: homogenize([f7, g11]),
     }
 
@@ -1115,6 +1117,7 @@ def test_interreduce_trivial_cases():
 
 def test_interreduce_properties_randomized():
     rng = random.Random(37)
+    shuffler = random.Random(38)  # its own stream: the draws stay those of seed 37
     ring = PolynomialRing(101, ("x", "y", "z"))
     for _ in range(100):
         G = [
@@ -1137,6 +1140,48 @@ def test_interreduce_properties_randomized():
             for m in g.monomials():
                 assert not is_top_reducible(m, others)
         assert len(set(heads)) == len(heads)
+        shuffled = list(G)
+        shuffler.shuffle(shuffled)
+        assert interreduce(shuffled) == out
+
+
+def _order_cases():
+    """Name -> (inputs, their interreduced basis), on input that is not a
+    Groebner basis and whose result could depend on the input order."""
+    dl, gr = PolynomialRing(101, ("x", "y"), "deglex"), PolynomialRing(7, ("x", "y"))
+    return {
+        # head minimization drops both x^2*y^2 elements, whose normal forms
+        # -12*x^2 and 34*y^2 against x*y join the basis; fixpoint
+        # interreduction in input order gives [x*y, x^2 + 26*y^2,
+        # y^4 + 14*y^2] here, and y^4 - 2*y^3 + 14*y^2 with the last two
+        # swapped
+        "dropped_normal_forms_join": (
+            [
+                P(dl, (-9, (1, 1))),
+                P(dl, (28, (2, 2)), (45, (2, 1)), (-12, (2, 0))),
+                P(dl, (16, (2, 2)), (34, (0, 2))),
+            ],
+            [P(dl, (1, (0, 2))), P(dl, (1, (1, 1))), P(dl, (1, (2, 0)))],
+        ),
+        # two heads x^2*y: whichever head minimization keeps decides the
+        # result ([y, x^2] where 3*x^2*y precedes x^2*y - 3*x^2), unless
+        # the input is put in one order first
+        "equal_heads": (
+            [
+                P(gr, (3, (2, 1))),
+                P(gr, (-3, (2, 2)), (2, (1, 1)), (-3, (0, 1))),
+                P(gr, (1, (2, 1)), (-3, (2, 0))),
+            ],
+            [P(gr, (1, (1, 1)), (2, (0, 1))), P(gr, (1, (2, 0)))],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_order_cases()))
+def test_interreduce_result_does_not_depend_on_input_order(name):
+    G, expected = _order_cases()[name]
+    for perm in itertools.permutations(G):
+        assert interreduce(list(perm)) == expected
 
 
 def test_interreduce_permutation_invariance_on_groebner_bases():
@@ -1186,6 +1231,32 @@ def test_interreduce_with_cofactors_rejects_non_groebner_input():
     ]
     with pytest.raises(ValueError):
         interreduce_with_cofactors(G, [None] * len(G))
+
+
+def _autoreduce(G):
+    """Fixpoint interreduction, the reference for interreduce on Groebner bases:
+    each element in turn is replaced by its normal form against the others
+    until no element changes."""
+    live = [g.monic() for g in G if g]
+    changed = True
+    while changed:
+        changed = False
+        live.sort(key=lambda g: g.lt_key())
+        pos = 0
+        while pos < len(live):
+            g = live[pos]
+            r = normal_form(g, live[:pos] + live[pos + 1:])
+            if r == g:
+                pos += 1
+                continue
+            changed = True
+            if r.is_zero():
+                live.pop(pos)
+            else:
+                live[pos] = r.monic()
+                pos += 1
+    live.sort(key=lambda g: g.lt_key())
+    return live
 
 
 @pytest.mark.parametrize("p", [32003, 101])

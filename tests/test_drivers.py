@@ -155,6 +155,11 @@ def test_zero_input_rejected(xyzt):
         f5([xyzt.zero])
     with pytest.raises(ValueError):
         f5([])
+    # an input that is not a polynomial raises wherever it stands, first too
+    x = xyzt.variable("x")
+    for F in ([x, 1], [1, x]):
+        with pytest.raises(ValueError, match="not a polynomial"):
+            f5(F)
 
 
 def test_store_cap_is_hard_error(appendix_system):
