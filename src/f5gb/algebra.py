@@ -598,14 +598,35 @@ def sum_products(ring: PolynomialRing, pairs) -> Polynomial:
 
 
 def spoly(p: Polynomial, q: Polynomial) -> Polynomial:
-    """lc(q) * (lcm/lt(p)) * p  -  lc(p) * (lcm/lt(q)) * q."""
+    """lc(q) * (lcm/lt(p)) * p  -  lc(p) * (lcm/lt(q)) * q.
+
+    The heads cancel, so one dict sums the two shifted tails.  ring.lcm
+    checks the lcm's degree, which bounds every term under a graded order;
+    under lex a tail term can outgrow its head, so each tail's degree is
+    checked too, and a product that would not pack raises
+    ExponentOverflowError.
+    """
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomialError("S-polynomial of a zero polynomial")
-    ring = p.ring
-    kp, kq = p.lt_key(), q.lt_key()
+    ring = one_ring(p.ring, q.ring)
+    (kp, cp), (kq, cq) = p.terms[0], q.terms[0]
     lcm = ring.lcm(kp, kq)
-    up, uq = ring.key_div(lcm, kp), ring.key_div(lcm, kq)
-    return p.term_mul_key(up, q.lc()) - q.term_mul_key(uq, p.lc())
+    tp, tq = p.terms[1:], q.terms[1:]
+    if not ring._graded:
+        kd = ring.key_degree
+        for k, tail in ((kp, tp), (kq, tq)):
+            if tail:
+                ring.check_degree(kd(lcm) - kd(k) + max(kd(t) for t, _ in tail))
+    op, oq = lcm - kp, lcm - kq  # the key offsets of lcm/lt(p) and lcm/lt(q)
+    acc = {k + op: c * cq for k, c in tp}
+    get = acc.get
+    for k, c in tq:
+        k += oq
+        acc[k] = get(k, 0) - c * cp
+    P = ring.p
+    terms = [(k, r) for k, c in acc.items() if (r := c % P)]
+    terms.sort(reverse=True)
+    return Polynomial(ring, tuple(terms))
 
 
 def top_reduce_step(p: Polynomial, g: Polynomial) -> Polynomial:
@@ -907,8 +928,9 @@ def reduced_basis(G, cofs, stats=None):
     next, where it takes the smallest dividing head (the tail pass takes
     the largest).  For a Groebner basis G, reducers.polys is its reduced basis and
     every dropped element reduces to zero against it; nothing here checks
-    that (interreduce reduces them again in a next round, and
-    interreduce_with_cofactors raises).  With stats,
+    that (interreduce reduces them again in a next round,
+    interreduce_with_cofactors raises, and drivers.groebner_check answers
+    False).  With stats,
     stats.interreduction_steps counts the tail pass's eliminations and
     stats.dropped the removed elements.
     """
@@ -916,16 +938,22 @@ def reduced_basis(G, cofs, stats=None):
         ((g, c) for g, c in zip(G, cofs, strict=True) if g), key=lambda t: t[0].lt_key()
     )
     ring = G[0].ring if G else None  # an empty set never reads its ring
+    guard = ring.guard if G else 0
     # head minimization: for a Groebner basis, elements whose head another
     # head divides reduce to zero against the rest and can be dropped; a kept
-    # element is made monic, and its vector is scaled by the same 1/lc
-    kept, kcofs, dropped = [], [], []
+    # element is made monic, and its vector is scaled by the same 1/lc.  Each
+    # kept head's exponent word is tested with one guarded subtraction (see
+    # PolynomialRing.divides)
+    kept, kwords, kcofs, dropped = [], [], [], []
     for g, c in live:
-        if any(ring.divides(h.lt_key(), g.lt_key()) for h in kept):
+        w = ring.word(g.terms[0][0])
+        t = w | guard
+        if any((t - kw) & guard == guard for kw in kwords):
             dropped.append(g)
         else:
             inv = ring.field.inv(g.lc())
             kept.append(g.monic())
+            kwords.append(w)
             kcofs.append(c if c is None or inv == 1 else [h.scale(inv) for h in c])
     # tail reduction against one shared reducer set: heads are pairwise
     # indivisible, so only tail monomials ever reduce, and any fixpoint with

@@ -16,7 +16,9 @@ carries forward at its end:
 reduced_basis does not check that the elements it drops reduce to zero: the
 F5 theorem makes each iteration's basis a Groebner basis, and a run's result
 is checked where it is used (groebner_check, the oracle, the acceptance and
-sympy tests).
+sympy tests).  groebner_check runs reduced_basis itself, checks that the
+elements it drops reduce to zero, and applies Buchberger's criterion to the
+kept, tail-reduced elements only; G is a Groebner basis iff both hold.
 
 Where several heads divide a monomial, a ReducerSet picks one (prefer);
 against a Groebner basis the pick changes the work, not the normal form.
@@ -31,8 +33,9 @@ basis.
 
 buchberger_reduced is the correctness oracle: a Buchberger loop under the
 Gebauer-Moller criteria.  It shares no signature code with the engine, but it
-does share the polynomial layer: packed-key arithmetic (ring.lcms and
-ring.divides), ReducerSet and interreduce.  tests/test_sympy_differential.py
+does share the polynomial layer: packed-key arithmetic (ring.lcms, and the
+guarded subtraction of ring.divides, inline in _gm_update), ReducerSet and
+interreduce.  tests/test_sympy_differential.py
 checks both against sympy, which shares none of that code.
 """
 
@@ -218,39 +221,47 @@ def _gm_update(G, pairs, h, serial):
 
     G holds _gm_entry tuples and pairs holds _gm_pair tuples; serials number
     the pairs in creation order and make the selection key a total order.
-    Returns (new G, new pairs, next serial).
+    Returns (new G, new pairs, next serial).  Every divisibility test is one
+    guarded subtraction on exponent words, as in PolynomialRing.divides.
     """
     ring = h[0].ring
     ht = h[1]
-    divides, lcm = ring.divides, ring.lcm
-    # new pairs (h, g), their lcms from one ring.lcms call: the chain
+    unit, g = ring.unit_key, ring.guard
+    wh = ht ^ unit
+    heads = [e[1] for e in G]
+    row = ring.lcms(ht, heads)
+    # new pairs (h, e), their lcms from one ring.lcms call: the chain
     # criterion drops a pair whose lcm another new pair's lcm divides; among
     # equal lcms the last one stays.  Coprime pairs take part in the chain
     # test and then go (product criterion); a pair is coprime iff its lcm
     # key is the product key, because ka + kb - unit_key - lcm is the key
-    # offset of the gcd.
-    C = [
-        (m, m == ring.key_mul(ht, g[1]), g)
-        for m, g in zip(ring.lcms(ht, [g[1] for g in G]), G)
-    ]
+    # offset of the gcd.  C holds (lcm word, coprime, lcm, entry).
+    C = [(m ^ unit, m == ht + e[1] - unit, m, e) for m, e in zip(row, G)]
     D = []
     for i, c in enumerate(C):
-        m = c[0]
+        t = c[0] | g
         if c[1] or not (
-            any(divides(o[0], m) for o in C[i + 1:]) or any(divides(o[0], m) for o in D)
+            any((t - o[0]) & g == g for o in C[i + 1:]) or any((t - o[0]) & g == g for o in D)
         ):
             D.append(c)
-    # old pairs (g1, g2): dropped when ht divides their lcm and neither
-    # lcm(g1, h) nor lcm(h, g2) equals it, so the chain g1, h, g2 has
-    # strictly smaller lcms
+    # old pairs (e1, e2): dropped when ht divides their lcm and neither
+    # lcm(e1, h) nor lcm(h, e2) equals it, so the chain e1, h, e2 has
+    # strictly smaller lcms.  Those lcms come from the new row, keyed by
+    # head; an entry that already left G takes ring.lcm
+    by_head = dict(zip(heads, row))
+
+    def lcm_h(k):
+        m = by_head.get(k)
+        return ring.lcm(ht, k) if m is None else m
+
     kept_old = [
         p
         for p in pairs
-        if not divides(ht, p[1]) or lcm(p[3][1], ht) == p[1] or lcm(ht, p[4][1]) == p[1]
+        if ((p[1] ^ unit | g) - wh) & g != g or lcm_h(p[3][1]) == p[1] or lcm_h(p[4][1]) == p[1]
     ]
     E = [c for c in D if not c[1]]
-    new_pairs = kept_old + [_gm_pair(h, g, m, serial + n) for n, (m, _, g) in enumerate(E)]
-    new_G = [g for g in G if not divides(ht, g[1])] + [h]
+    new_pairs = kept_old + [_gm_pair(h, c[3], c[2], serial + n) for n, c in enumerate(E)]
+    new_G = [e for e in G if ((e[1] ^ unit | g) - wh) & g != g] + [h]
     return new_G, new_pairs, serial + len(E)
 
 
@@ -290,30 +301,44 @@ def buchberger_reduced(F):
 
 
 def groebner_check(G) -> bool:
-    """Buchberger's criterion on the Gebauer-Moller pairs of G.
+    """Buchberger's criterion on the Gebauer-Moller pairs of G's reduced set.
 
     True iff G (zeros ignored) is a Groebner basis of the ideal it
-    generates.  The nonzero members, made monic and sorted by head, go one
-    at a time through the oracle's _gm_update, which applies the product
-    criterion and the chain criterion with its fixed serial tie-break; the
-    S-polynomial of every surviving pair is then reduced over all of G.
+    generates.  reduced_basis splits the nonzero members into a kept set K,
+    monic with pairwise indivisible heads and tails reduced against K, and
+    the dropped elements, each with a head some head of K divides.  The
+    answer is False if a dropped element has a nonzero normal form against
+    K.  Otherwise K, in ascending head order, goes one element at a time
+    through the oracle's _gm_update, which applies the product criterion
+    and the chain criterion with its fixed serial tie-break, and the
+    S-polynomial of every surviving pair is reduced against K.  Both steps
+    reduce with the one ReducerSet reduced_basis returns, with its warm
+    divisor cache and the smallest dividing head.
 
-    The answer is exact.  If G is a Groebner basis, every S-polynomial
-    reduces to zero over G.  Conversely, if every surviving pair reduces to
-    zero, the Gebauer-Moller Buchberger algorithm run on G (Gebauer & Moller,
-    JSC 1988) would add nothing and stop, and its correctness theorem makes G
-    a Groebner basis: each pair it dropped has a standard representation
-    through the chain of kept pairs that justified the pruning, and the
-    serial tie-break keeps those chains from resting on each other.
+    The answer is exact.  The tail pass only subtracts multiples of other
+    elements of K, so <K> lies in <G>.  If every dropped element reduces to
+    zero against K, then <K> = <G>, and <LT(K)> = <LT(G)> because each
+    dropped head is a multiple of a head of K; so G is a Groebner basis iff
+    K is.  Conversely, if G is a Groebner basis, then so is K, since K lies
+    in <G> and its heads generate LT(<G>), and every dropped element, a
+    member of <G> = <K>, reduces to zero against it.  For K, if every
+    surviving pair reduces to zero, the Gebauer-Moller Buchberger algorithm
+    run on K (Gebauer & Moller, JSC 1988) would add nothing and stop, and
+    its correctness theorem makes K a Groebner basis: each pair it dropped
+    has a standard representation through the chain of kept pairs that
+    justified the pruning, and the serial tie-break keeps those chains from
+    resting on each other.  If K is a Groebner basis, every S-polynomial
+    reduces to zero against it.
     """
-    Gs = sorted((g.monic() for g in G if g), key=lambda g: g.lt_key())
+    Gs = [g for g in G if g]
     if not Gs:
         raise ValueError("empty basis")
+    reducers, dropped = reduced_basis(Gs, [None] * len(Gs))
+    if any(map(reducers.reduce_full, dropped)):
+        return False
     entries: list = []
     pairs: list = []
     serial = 0
-    for g in Gs:
+    for g in reducers.polys:
         entries, pairs, serial = _gm_update(entries, pairs, _gm_entry(g), serial)
-    # smallest dividing head keeps verification chains short
-    reducers = ReducerSet(Gs[0].ring, Gs, prefer=-1)
     return not any(reducers.reduce_full(spoly(p[3][0], p[4][0])) for p in pairs)

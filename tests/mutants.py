@@ -98,6 +98,7 @@ LCM_TESTS = (
 )
 LEX_GUARD_TESTS = (
     "tests/test_algebra.py::test_lex_eliminations_past_the_packed_degree_raise",
+    "tests/test_algebra.py::test_lex_spoly_tails_past_the_packed_degree_raise",
     "tests/test_drivers.py::test_lex_tails_past_the_packed_degree_raise_in_the_oracle",
 )
 PARSER_TESTS = ("tests/test_cli.py",)
@@ -595,7 +596,8 @@ MUTANTS = (
         "enumerate(ring.lcms(t, heads[j + 1:]), start=j)",
         ("tests/test_drivers.py::test_setup_reduced_basis_phantom_rule_monomials",),
     ),
-    # -- the oracle's Gebauer-Moller update (drivers._gm_update)
+    # -- the Gebauer-Moller update of the oracle and the check
+    #    (drivers._gm_update), on exponent words
     Mutant(
         "no-product-criterion",
         "drivers.py",
@@ -609,6 +611,31 @@ MUTANTS = (
         "        if c[1] or not (\n",
         "        if True or not (\n",
         GM_TESTS,
+    ),
+    Mutant(
+        "no-chain-test-on-old-pairs",
+        "drivers.py",
+        "        if ((p[1] ^ unit | g) - wh) & g != g or",
+        "        if True or",
+        GM_TESTS,
+    ),
+    # -- the check (drivers.groebner_check): the elements reduced_basis
+    #    drops must reduce to zero against the kept ones
+    Mutant(
+        "check-skips-dropped-elements",
+        "drivers.py",
+        "    if any(map(reducers.reduce_full, dropped)):\n        return False\n",
+        "",
+        ("tests/test_drivers.py::test_groebner_check_reduces_the_dropped_elements",),
+    ),
+    # -- the S-polynomial's degree guard (algebra.spoly)
+    Mutant(
+        # the lcm still packs; y^13000 times the tail y^20000 wraps into x
+        "spoly-lex-tails-unchecked",
+        "algebra.py",
+        "    if not ring._graded:\n        kd = ring.key_degree\n",
+        "    if False:\n        kd = ring.key_degree\n",
+        LEX_GUARD_TESTS,
     ),
     # -- the certified check (sigcore.admissible_check)
     Mutant(

@@ -37,7 +37,14 @@ from f5gb.algebra import (
     top_reduce_step,
 )
 from f5gb.bench import cyclic, katsura
-from f5gb.drivers import VARIANTS, VariantConfig, buchberger_reduced, f5, run_variant
+from f5gb.drivers import (
+    VARIANTS,
+    VariantConfig,
+    buchberger_reduced,
+    f5,
+    groebner_check,
+    run_variant,
+)
 
 
 def ring_xyzt(p=32003, order="grevlex"):
@@ -226,6 +233,19 @@ def test_lex_eliminations_past_the_packed_degree_raise():
     assert payload.poly().terms == ((ring.key((0, 0, 0, 32767)), 1),)
     with pytest.raises(ExponentOverflowError):
         rs.fold_normal_form(payload, off, 1, ((ring.key((0, 0, 0, 16768)), 1),))
+
+
+def test_lex_spoly_tails_past_the_packed_degree_raise():
+    # the lcm x*y^13000 packs, but y^13000 times the tail y^20000 does not,
+    # in either argument order; a tail one degree lower packs exactly
+    ring = PolynomialRing(32003, ("x", "y"), "lex")
+    f = P(ring, (1, (1, 0)), (1, (0, 20000)))
+    g = P(ring, (1, (1, 13000)))
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ExponentOverflowError):
+            spoly(a, b)
+    h = P(ring, (1, (1, 0)), (1, (0, 19767)))
+    assert spoly(h, g) == P(ring, (1, (0, 32767)))
 
 
 @st.composite
@@ -504,6 +524,7 @@ def _two_ring_cases():
         "reduce_full": lambda: ReducerSet(r7, [x7]).reduce_full(x11 * x11),
         "interreduce": lambda: interreduce([f7, g11]),
         "buchberger_reduced": lambda: buchberger_reduced([f7, g11]),
+        "groebner_check": lambda: groebner_check([f7, g11]),
         # f5 takes homogeneous input only
         "f5": lambda: f5([x7 * y7, g11]),
         "run_variant": lambda: run_variant([x7 * y7, g11], VariantConfig("f5c")),

@@ -17,6 +17,7 @@ from f5gb.algebra import (
     homogenize,
     interreduce,
     normal_form,
+    reduced_basis,
     spoly,
 )
 from f5gb.bench import cyclic, katsura
@@ -446,15 +447,45 @@ def test_groebner_check_reduces_only_the_gebauer_moller_pairs(monkeypatch):
         if any(x and y for x, y in zip(a, b))
     )
     assert (len(basis), non_coprime) == (43, 780)
-    calls = []
+    calls, dropped = [], []
 
     def counting_spoly(f, g):
         calls.append(1)
         return spoly(f, g)
 
+    def counting_reduced_basis(G, cofs):
+        out = reduced_basis(G, cofs)
+        dropped.extend(out[1])
+        return out
+
     monkeypatch.setattr(f5gb.drivers, "spoly", counting_spoly)
+    monkeypatch.setattr(f5gb.drivers, "reduced_basis", counting_reduced_basis)
     assert groebner_check(basis)
-    assert len(calls) == 113
+    # the pairs of the 38 kept, tail-reduced elements, plus the 5 dropped
+    # elements, each reduced to zero against them
+    assert (len(calls), len(dropped)) == (108, 5)
+
+
+def test_groebner_check_reduces_the_dropped_elements():
+    # the kept set alone is a Groebner basis in each False case: the answer
+    # rests on the normal forms of the dropped elements
+    ring = PolynomialRing(32003, ("x", "y"))
+    # equal heads: the first in input order stays, x + y leaves y
+    assert not groebner_check(polys(ring, "x", "x + y"))
+    assert not groebner_check(polys(ring, "x + y", "x"))
+    assert groebner_check(polys(ring, "x + y", "2*x + 2*y"))
+    assert groebner_check(polys(ring, "x + y", "y", "x*y + y^2", "x"))
+    # f5's raw cyclic-5 basis, with the coefficient of one tail term of a
+    # dropped element raised by 1, a term no kept head divides: the
+    # element's normal form is now that term
+    basis = f5(cyclic(5)).basis
+    reducers, dropped = reduced_basis(basis, [None] * len(basis))
+    d = dropped[0]
+    j = next(j for j in range(1, len(d.terms)) if not reducers.is_top_reducible(d.terms[j][0]))
+    terms = list(d.terms)
+    terms[j] = (terms[j][0], (terms[j][1] + 1) % d.ring.p)
+    changed = [Polynomial(d.ring, tuple(terms)) if g is d else g for g in basis]
+    assert groebner_check(basis) and not groebner_check(changed)
 
 
 def test_gebauer_moller_pair_stream_is_pinned(monkeypatch):
@@ -517,7 +548,8 @@ def test_oracle_agreement_small_suite():
 
 
 def _checked_spolys(G, monkeypatch):
-    """(f, g) for each S-polynomial groebner_check(G) reduces, G a Groebner basis."""
+    """(f, g) for each S-polynomial groebner_check(G) reduces, G a Groebner
+    basis: pairs of the kept, tail-reduced elements reduced_basis returns."""
     pairs = []
 
     def recorded(f, g):
