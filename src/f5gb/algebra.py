@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 from heapq import heappop as _heappop, heappush as _heappush
+from itertools import islice
 from math import isqrt
 
 ORDER_KINDS = ("grevlex", "lex", "deglex")
@@ -650,14 +651,14 @@ def is_top_reducible(m, G) -> bool:
 
 
 class ReducerSet:
-    """A fixed reduction target with fast divisor lookup.
+    """A reduction target with fast divisor lookup.
 
     Heads are held ascending by key with their exponent words, so one
     guarded subtraction decides each divisibility test; lookups are
     memoized, so reusing one ReducerSet across many reductions against the
-    same basis amortizes the divisor search.  Ties between several dividing
-    heads go to the largest by default (prefer=-1 selects the smallest
-    instead).  Against a Groebner basis every choice yields the same normal
+    same basis amortizes the divisor search, and add grows the set in place
+    with its divisor cache.  Ties between several dividing heads go to the
+    largest by default (prefer=-1 selects the smallest instead).  Against a Groebner basis every choice yields the same normal
     form, which is unique, though not the same work; against other input
     the normal form can depend on the choice.  eliminations counts the
     eliminations of every fold against the set.  cofactors, when given,
@@ -671,7 +672,8 @@ class ReducerSet:
     """
 
     __slots__ = (
-        "ring", "polys", "cofactors", "eliminations", "_keys", "_cands", "_cache", "_prefer"
+        "ring", "polys", "cofactors", "eliminations", "_keys", "_cands", "_cache", "_prefer",
+        "_swept",
     )
 
     def __init__(self, ring: PolynomialRing, polys, prefer: int = 1, cofactors=None):
@@ -690,6 +692,45 @@ class ReducerSet:
         self._keys = [c[0] for c in cands]
         self._cands = cands
         self._cache: dict[int, tuple | None] = {}
+        self._swept: list[int] = []  # the cached keys as of the last add, ascending
+
+    def add(self, g: Polynomial):
+        """Append g to polys: every later answer is that of a set built over polys + [g].
+
+        g's candidate goes after any equal heads, where a fresh sort puts
+        it, and the cached answers g changes are rewritten: keys g's head
+        divides that are cached as irreducible or with a head g's beats
+        under prefer (g's is smaller, with prefer=-1; at least as large,
+        otherwise).  A divisor's key is never above its multiple's, so only
+        cached keys at or above g's head key are read; they are kept
+        ascending in _swept, into which each add first merges the keys
+        cached since the last one (the cache keeps insertion order and
+        never drops a key), so lookups pay nothing for it.  A zero g is
+        ignored, one of another ring raises, and so does a set with
+        cofactor vectors (ValueError), which carry no vector for g.
+        """
+        one_ring(self.ring, g.ring)
+        if self.cofactors is not None:
+            raise ValueError("a ReducerSet with cofactor vectors cannot grow")
+        if not g:
+            return
+        self.polys.append(g)
+        cand = self._candidate(len(self.polys) - 1)
+        hk, hw = cand[0], cand[1]
+        at = bisect.bisect_right(self._keys, hk)
+        self._keys.insert(at, hk)
+        self._cands.insert(at, cand)
+        cache, swept = self._cache, self._swept
+        if len(cache) > len(swept):
+            swept += islice(reversed(cache), len(cache) - len(swept))
+            swept.sort()
+        unit, guard = self.ring.unit_key, self.ring.guard
+        smallest = self._prefer < 0
+        for key in swept[bisect.bisect_left(swept, hk):]:
+            if ((key ^ unit | guard) - hw) & guard == guard:
+                old = cache[key]
+                if old is None or (hk < old[0] if smallest else hk >= old[0]):
+                    cache[key] = cand
 
     def _candidate(self, pos: int) -> tuple:
         """(head key, head word, 1/lc, position, tail, tail degree) of polys[pos].

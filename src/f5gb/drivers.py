@@ -25,11 +25,12 @@ against a Groebner basis the pick changes the work, not the normal form.
 Each set reduced against here takes the smallest dividing head: each
 iteration's carried set (f5's raw basis, reduced_basis's result for f5r and
 f5c), groebner_check's, and the oracle's running set, whose unique reduced
-basis does not depend on the pick.  Against f5's raw basis it saves the
-most (katsura-8: 5,584,563 reduction steps, against 8,708,308 with the
-largest).  The largest stays in reduced_basis's tail pass, where it did
-less, and in the public normal_form, whose input need not be a Groebner
-basis.
+basis does not depend on the pick.  The oracle builds that set once and
+grows it in place (ReducerSet.add), so one divisor cache serves its whole
+run.  Against f5's raw basis the smallest head saves the most (katsura-8:
+5,584,563 reduction steps, against 8,708,308 with the largest).  The
+largest stays in reduced_basis's tail pass, where it did less, and in the
+public normal_form, whose input need not be a Groebner basis.
 
 buchberger_reduced is the correctness oracle: a Buchberger loop under the
 Gebauer-Moller criteria.  It shares no signature code with the engine, but it
@@ -272,24 +273,29 @@ def buchberger_reduced(F):
     packed-key arithmetic, ReducerSet and interreduce; the sympy
     differential test is the check that shares none of them.  Input need not
     be homogeneous.  Inputs and S-polynomials are normal-formed by one
-    ReducerSet over G, rebuilt only when G changes, so its divisor cache
-    serves every reduction in between.
+    ReducerSet, built once, to which each new element h is added, so its
+    divisor cache serves the whole run.  The set keeps the elements that
+    _gm_update drops from G, but it reduces exactly as a set over G would:
+    an element leaves G only for an h whose head properly divides its own,
+    so with the smallest dividing head (prefer=-1) the head found for any
+    monomial always belongs to an element still in G.
     """
     fs = [f for f in F if f]
     if not fs:
         raise ValueError("empty input system")
     fs = sorted((f.monic() for f in fs), key=lambda f: (f.degree(), f.lt_key()))
     G: list = []
-    reducers = ReducerSet(fs[0].ring, [])
+    reducers = ReducerSet(fs[0].ring, [], prefer=-1)
     pairs: list = []  # a heap on the selection key (lcm degree, lcm key, serial)
     serial = 0
 
     def add(f):
-        nonlocal G, reducers, pairs, serial
+        nonlocal G, pairs, serial
         h = reducers.reduce_full(f)
         if h:
-            G, pairs, serial = _gm_update(G, pairs, _gm_entry(h.monic()), serial)
-            reducers = ReducerSet(h.ring, [g[0] for g in G], prefer=-1)
+            h = h.monic()
+            G, pairs, serial = _gm_update(G, pairs, _gm_entry(h), serial)
+            reducers.add(h)
             heapify(pairs)
 
     for f in fs:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
-from .algebra import PolynomialRing, ReducerSet, WorkingPayload, subtract_quotients
+from .algebra import PolynomialRing, ReducerSet, WorkingPayload, spoly, subtract_quotients
 from .sigcore import PolyStore, RuleTable, cofactors_scale, cofactors_sub
 
 
@@ -257,9 +257,7 @@ class F5Engine:
             el = store.entries[pair.l]
             lc_k = ek.poly.lc()
             lc_l = el.poly.lc()
-            s = ek.poly.term_mul_key(pair.u_key, lc_l) - el.poly.term_mul_key(
-                pair.v_key, lc_k
-            )
+            s = spoly(ek.poly, el.poly)  # lc_l * u * f_k - lc_k * v * f_l
             new_sig = ring.key_mul(pair.u_key, sigs[pair.k])
             cof = cofactors_sub(
                 ring, ek.cofactors, el.cofactors, pair.v_key, lc_k, pair.u_key, lc_l

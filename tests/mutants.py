@@ -89,6 +89,7 @@ RUN_STATS_TESTS = ("tests/test_engine.py::test_run_stats_golden",)
 ORACLE_CHOICE_TESTS = (
     "tests/test_drivers.py::test_oracle_reduces_against_the_smallest_dividing_head",
 )
+ADD_TESTS = ("tests/test_algebra.py::test_reducer_set_grown_by_add_answers_as_a_fresh_set",)
 SCAN_TESTS = ("tests/test_engine.py::test_find_reductor_scans_only_the_current_iteration",)
 LCM_TESTS = (
     "tests/test_algebra.py::test_products_past_the_packed_degree_raise",
@@ -554,8 +555,8 @@ MUTANTS = (
     Mutant(
         "oracle-largest-head",
         "drivers.py",
-        "ReducerSet(h.ring, [g[0] for g in G], prefer=-1)",
-        "ReducerSet(h.ring, [g[0] for g in G])",
+        "ReducerSet(fs[0].ring, [], prefer=-1)",
+        "ReducerSet(fs[0].ring, [])",
         ORACLE_CHOICE_TESTS,
     ),
     Mutant(
@@ -564,6 +565,37 @@ MUTANTS = (
         "    shared = ReducerSet(ring, kept, cofactors=kcofs)\n",
         "    shared = ReducerSet(ring, kept, prefer=-1, cofactors=kcofs)\n",
         TAIL_PASS_TESTS,
+    ),
+    # -- a set grown in place (algebra.ReducerSet.add) answers as a fresh one
+    Mutant(
+        "add-overwrites-regardless-of-prefer",
+        "algebra.py",
+        "                if old is None or (hk < old[0] if smallest else hk >= old[0]):\n",
+        "                if True:\n",
+        ADD_TESTS,
+    ),
+    Mutant(
+        "add-skips-irreducible-entries",
+        "algebra.py",
+        "if old is None or (hk",
+        "if old is not None and (hk",
+        ADD_TESTS,
+    ),
+    Mutant(
+        "add-merges-no-new-keys",
+        "algebra.py",
+        "        if len(cache) > len(swept):\n"
+        "            swept += islice(reversed(cache), len(cache) - len(swept))\n"
+        "            swept.sort()\n",
+        "",
+        ADD_TESTS,
+    ),
+    Mutant(
+        "add-ties-to-the-new-candidate",
+        "algebra.py",
+        "at = bisect.bisect_right(self._keys, hk)",
+        "at = bisect.bisect_left(self._keys, hk)",
+        ADD_TESTS,
     ),
     # -- the packed-key lcm (algebra.PolynomialRing.lcms; lcm is its one-pair case)
     Mutant(

@@ -12,7 +12,12 @@ gives the sha256 prefix of
 
 The set is katsura-3..6 and cyclic-4..6 at p = 32003, and katsura-3..5 and
 cyclic-4..5 at p = 101 and 7, each under f5, f5r and f5c, plain and
-certified: 102 runs.  Run it on two trees and diff the outputs:
+certified: 102 runs.  After each system's runs one oracle line gives the
+digest of buchberger_reduced's basis, its _gm_update calls, its
+S-polynomials and the eliminations summed over every ReducerSet it builds,
+all taken by patching names in f5gb.drivers, so the script runs on trees
+that build those sets differently.  Run it on two trees and diff the
+outputs:
 
     PYTHONPATH=src python tests/run_digests.py > after.txt
     (cd ../parent && PYTHONPATH=src python /path/to/run_digests.py) > before.txt
@@ -113,6 +118,40 @@ def digest_run(name, n, p, variant, certified, omit=(), order="grevlex"):
     )
 
 
+def digest_oracle(name, n, p, order="grevlex"):
+    """The oracle's output line for the system."""
+    counts = {"_gm_update": 0, "spoly": 0}
+    sets = []
+    saved = {fname: getattr(drivers, fname) for fname in (*counts, "ReducerSet")}
+
+    def counted(fname):
+        def wrapper(*args):
+            counts[fname] += 1
+            return saved[fname](*args)
+
+        return wrapper
+
+    def built(*args, **kwargs):
+        sets.append(saved["ReducerSet"](*args, **kwargs))
+        return sets[-1]
+
+    for fname in counts:
+        setattr(drivers, fname, counted(fname))
+    drivers.ReducerSet = built
+    try:
+        basis = drivers.buchberger_reduced(system(name, n, p, order))
+    finally:
+        for fname, real in saved.items():
+            setattr(drivers, fname, real)
+    label = "" if order == "grevlex" else f" {order}"
+    return (
+        f"{name}-{n} p={p}{label} oracle"
+        f" basis={_digest([b.terms for b in basis])}"
+        f" gm_updates={counts['_gm_update']} spolys={counts['spoly']}"
+        f" eliminations={sum(rs.eliminations for rs in sets)}"
+    )
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--omit", action="append", default=[], metavar="KEY",
@@ -125,6 +164,7 @@ def main(argv=None) -> int:
         for certified in (False, True):
             for variant in drivers.VARIANTS:
                 print(digest_run(name, n, p, variant, certified, args.omit, order), flush=True)
+        print(digest_oracle(name, n, p, order), flush=True)
     return 0
 
 

@@ -1121,6 +1121,79 @@ def test_reducer_set_rejects_a_cofactor_list_of_the_wrong_length():
         ReducerSet(ring, [x, ring.zero, y], cofactors=unit)
 
 
+def _random_poly(rnd, ring, head=None, size=4):
+    """A random polynomial with small exponents; with head, monic with that
+    head monomial and a tail of smaller monomials."""
+    n = len(ring.names)
+    terms = [(tuple(rnd.randint(0, 2) for _ in range(n)), rnd.randrange(1, ring.p))
+             for _ in range(size)]
+    if head is None:
+        return ring.from_terms(terms)
+    hk = ring.key(head)
+    return ring.from_terms([(head, 1)] + [(e, c) for e, c in terms if ring.key(e) < hk])
+
+
+def _next_reducer(rnd, ring, added):
+    """A random monic polynomial; often its head equals an older head or
+    properly divides one."""
+    roll = rnd.random()
+    if added and roll < 0.5:
+        old = list(rnd.choice(added).lt())
+        if roll < 0.3 and any(old):  # a proper divisor of the older head
+            i = rnd.choice([i for i, e in enumerate(old) if e])
+            old[i] -= rnd.randint(1, old[i])
+        return _random_poly(rnd, ring, tuple(old))
+    g = _random_poly(rnd, ring, size=rnd.randint(1, 4))
+    return g.monic() if g else g
+
+
+def _answers(rs, keys, F):
+    """find_divisor of each key, then (terms, steps, term ops) of each
+    reduce_full, on rs."""
+    out = [rs.find_divisor(k) for k in keys]
+    for f in F:
+        stats = _Steps()
+        out.append((rs.reduce_full(f, stats=stats).terms, stats.reduction_steps, stats.term_ops))
+    return out
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+@pytest.mark.parametrize("prefer", [1, -1])
+def test_reducer_set_grown_by_add_answers_as_a_fresh_set(kind, prefer):
+    # lookups before and between the adds leave keys cached as irreducible
+    # and keys cached with a divisor, which each add must carry or rewrite
+    rnd = random.Random(f"{kind} {prefer}")
+    ring = PolynomialRing(101, ("x", "y", "z"), kind)
+    for _ in range(25):
+        grown, added = ReducerSet(ring, [], prefer=prefer), []
+        for f in [_random_poly(rnd, ring) for _ in range(rnd.randint(0, 3))]:
+            grown.reduce_full(f)
+        for _ in range(6):
+            g = _next_reducer(rnd, ring, added)
+            grown.add(g)
+            added.append(g)
+            fresh = ReducerSet(ring, added, prefer=prefer)
+            assert grown.polys == fresh.polys
+            keys = list(grown._cache)
+            F = [_random_poly(rnd, ring, size=6) for _ in range(3)]
+            assert _answers(grown, keys, F) == _answers(fresh, keys, F)
+
+
+def test_reducer_set_add_edge_cases():
+    ring = PolynomialRing(32003, ("x", "y"))
+    x, y = P(ring, (1, (1, 0))), P(ring, (1, (0, 1)))
+    grown = ReducerSet(ring, [x])
+    grown.add(ring.zero)  # a zero polynomial is dropped, as by the constructor
+    assert grown.polys == [x]
+    other = PolynomialRing(32003, ("a", "b"))
+    with pytest.raises(ValueError):
+        grown.add(P(other, (1, (0, 1))))
+    with_vectors = ReducerSet(ring, [x], cofactors=[[ring.one]])
+    with pytest.raises(ValueError):  # y would have no cofactor vector
+        with_vectors.add(y)
+    assert with_vectors.polys == [x]
+
+
 # ---------------------------------------------------------------------------
 # interreduction
 
