@@ -656,16 +656,18 @@ class ReducerSet:
     Heads are held ascending by key with their exponent words, so one
     guarded subtraction decides each divisibility test; lookups are
     memoized, so reusing one ReducerSet across many reductions against the
-    same basis amortizes the divisor search, and add grows the set in place
-    with its divisor cache.  Ties between several dividing heads go to the
-    largest by default (prefer=-1 selects the smallest instead).  Against a Groebner basis every choice yields the same normal
-    form, which is unique, though not the same work; against other input
-    the normal form can depend on the choice.  eliminations counts the
-    eliminations of every fold against the set.  cofactors, when given,
-    lists one cofactor vector (or None) per element of polys over some
-    reference system; zero polynomials are dropped with their vectors, and
-    reduce_payload reads the vectors.  A length mismatch raises ValueError,
-    as does a polynomial of another ring, here or given to reduce_full.
+    same basis amortizes the divisor search; add grows the set in place
+    with its divisor cache, and replace_tail swaps an element's tail.  Ties
+    between several dividing heads go to the largest by default (prefer=-1
+    selects the smallest instead).  Against a Groebner basis every choice
+    yields the same normal form, which is unique, though not the same
+    work; against other input the normal form can depend on the choice.
+    eliminations counts the eliminations of every fold against the set.
+    cofactors, when given, lists one cofactor vector (or None) per element
+    of polys over some reference system; zero polynomials are dropped with
+    their vectors, and reduce_payload reads the vectors.  A length mismatch
+    raises ValueError, as does a polynomial of another ring, here or given
+    to reduce_full.
     Under lex a tail can outgrow its head, so a candidate carries its
     tail's degree where that exceeds its head's (0 otherwise, and on graded
     rings), and fold_normal_form checks each such elimination.
@@ -691,10 +693,10 @@ class ReducerSet:
         cands = [self._candidate(pos) for pos in order]
         self._keys = [c[0] for c in cands]
         self._cands = cands
-        self._cache: dict[int, tuple | None] = {}
+        self._cache: dict[int, list | None] = {}
         self._swept: list[int] = []  # the cached keys as of the last add, ascending
 
-    def add(self, g: Polynomial):
+    def add(self, g: Polynomial) -> list:
         """Append g to polys: every later answer is that of a set built over polys + [g].
 
         g's candidate goes after any equal heads, where a fresh sort puts
@@ -705,15 +707,17 @@ class ReducerSet:
         cached keys at or above g's head key are read; they are kept
         ascending in _swept, into which each add first merges the keys
         cached since the last one (the cache keeps insertion order and
-        never drops a key), so lookups pay nothing for it.  A zero g is
-        ignored, one of another ring raises, and so does a set with
-        cofactor vectors (ValueError), which carry no vector for g.
+        never drops a key), so lookups pay nothing for it.  Returns the
+        keys g made reducible, ascending: those cached as irreducible
+        before.  A zero g is ignored (no keys), one of another ring raises,
+        and so does a set with cofactor vectors (ValueError), which carry
+        no vector for g.
         """
         one_ring(self.ring, g.ring)
         if self.cofactors is not None:
             raise ValueError("a ReducerSet with cofactor vectors cannot grow")
         if not g:
-            return
+            return []
         self.polys.append(g)
         cand = self._candidate(len(self.polys) - 1)
         hk, hw = cand[0], cand[1]
@@ -726,27 +730,56 @@ class ReducerSet:
             swept.sort()
         unit, guard = self.ring.unit_key, self.ring.guard
         smallest = self._prefer < 0
+        made = []
         for key in swept[bisect.bisect_left(swept, hk):]:
             if ((key ^ unit | guard) - hw) & guard == guard:
                 old = cache[key]
-                if old is None or (hk < old[0] if smallest else hk >= old[0]):
+                if old is None:
+                    made.append(key)
                     cache[key] = cand
+                elif hk < old[0] if smallest else hk >= old[0]:
+                    cache[key] = cand
+        return made
 
-    def _candidate(self, pos: int) -> tuple:
-        """(head key, head word, 1/lc, position, tail, tail degree) of polys[pos].
+    def replace_tail(self, pos: int, g: Polynomial):
+        """Swap polys[pos] for g, which keeps its head and leading coefficient.
 
-        The tail degree is 0 unless a lex tail outgrows the head; the
-        benchmark's counting pass reads the tail at index 4.
+        The candidate of polys[pos] takes g's tail and tail degree in
+        place, so every cached answer that holds it sees the new tail, and
+        the keys it answers for stay as they were: a reducer's head decides
+        which monomials it divides.  A g of another ring, or whose leading
+        term differs, raises (ValueError for the term).
+        """
+        one_ring(self.ring, g.ring)
+        head = self.polys[pos].terms[0]
+        if not g or g.terms[0] != head:
+            raise ValueError("replace_tail keeps the head and leading coefficient")
+        self.polys[pos] = g
+        i = bisect.bisect_left(self._keys, head[0])
+        while self._cands[i][3] != pos:
+            i += 1
+        self._cands[i][4:] = self._tail(g)
+
+    def _candidate(self, pos: int) -> list:
+        """[head key, head word, 1/lc, position, tail, tail degree] of polys[pos].
+
+        A list, so that replace_tail can swap the tail where every cached
+        answer sees it; the benchmark's counting pass reads the tail at
+        index 4.
         """
         ring, g = self.ring, self.polys[pos]
         hk, hc = g.terms[0]
-        tail = g.terms[1:]
+        return [hk, ring.word(hk), ring.field.inv(hc), pos, *self._tail(g)]
+
+    def _tail(self, g: Polynomial) -> tuple:
+        """(tail terms, tail degree) of g; the degree is 0 unless a lex tail outgrows the head."""
+        ring, tail = self.ring, g.terms[1:]
         tail_deg = 0
         if not ring._graded and tail:
             tail_deg = max(ring.key_degree(k) for k, _ in tail)
-            if tail_deg <= ring.key_degree(hk):
+            if tail_deg <= ring.key_degree(g.terms[0][0]):
                 tail_deg = 0
-        return (hk, ring.word(hk), ring.field.inv(hc), pos, tail, tail_deg)
+        return tail, tail_deg
 
     def find_divisor(self, key: int):
         """Candidate whose head divides the keyed monomial, or None.
@@ -1001,16 +1034,14 @@ def reduced_basis(G, cofs, stats=None):
     # these heads is the canonical reduced basis.  Tails go in ascending
     # head order, and every reducer of a tail has a smaller head, so each
     # element's reduced tail goes into its polynomial and its candidate
-    # (rebuilt from it), and its reduced vector into its vector (kept
-    # ascends, so candidate i is kept[i]), before any tail can use them; a
-    # cached lookup that returns candidate i is made while reducing a later
-    # element, after the replacement, so the divisor cache stays valid.
+    # (replace_tail), and its reduced vector into its vector, before any
+    # tail can use them; the divisor cache stays valid, since a swap
+    # changes no head.
     shared = ReducerSet(ring, kept, cofactors=kcofs)
-    polys, vecs, cands = shared.polys, shared.cofactors, shared._cands
+    polys, vecs = shared.polys, shared.cofactors
     for i, g in enumerate(polys):
         tail, vecs[i] = reduce_payload(shared, Polynomial(ring, g.terms[1:]), vecs[i], None)
-        polys[i] = Polynomial(ring, g.terms[:1] + tail.terms)
-        cands[i] = shared._candidate(i)
+        shared.replace_tail(i, Polynomial(ring, g.terms[:1] + tail.terms))
     # against the set, a Groebner basis if G is one, the smallest dividing
     # head does less work than the largest; on the tails it did more
     # (katsura-6 f5r: 936 eliminations against 699).  The divisors cached

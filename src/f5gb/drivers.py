@@ -27,17 +27,21 @@ iteration's carried set (f5's raw basis, reduced_basis's result for f5r and
 f5c), groebner_check's, and the oracle's running set, whose unique reduced
 basis does not depend on the pick.  The oracle builds that set once and
 grows it in place (ReducerSet.add), so one divisor cache serves its whole
-run.  Against f5's raw basis the smallest head saves the most (katsura-8:
-5,584,563 reduction steps, against 8,708,308 with the largest).  The
-largest stays in reduced_basis's tail pass, where it did less, and in the
-public normal_form, whose input need not be a Groebner basis.
+run, and it keeps its basis reduced in that set (ReducerSet.replace_tail),
+so it needs no final interreduction.  Against f5's raw basis the smallest
+head saves the most (katsura-8: 5,584,563 reduction steps, against
+8,708,308 with the largest).  The largest stays in reduced_basis's tail
+pass, where it did less, and in the public normal_form, whose input need
+not be a Groebner basis.
 
 buchberger_reduced is the correctness oracle: a Buchberger loop under the
 Gebauer-Moller criteria.  It shares no signature code with the engine, but it
 does share the polynomial layer: packed-key arithmetic (ring.lcms, and the
-guarded subtraction of ring.divides, inline in _gm_update), ReducerSet and
-interreduce.  tests/test_sympy_differential.py
-checks both against sympy, which shares none of that code.
+guarded subtraction of ring.divides, inline in _gm_update) and ReducerSet,
+with its fold_normal_form loop, but neither interreduce nor reduced_basis,
+which groebner_check and the rebuilds run.  tests/test_sympy_differential.py
+checks the oracle and the check against sympy, which shares none of that
+code.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .algebra import (
     Polynomial,
     ReducerSet,
     ZeroPolynomialError,
-    interreduce,
+    interreduce,  # unused here, but perfbench's check and tracer use drivers.interreduce
     # unused here, but perfbench/tracer.py wraps drivers.interreduce_with_cofactors
     interreduce_with_cofactors,
     normal_form,  # unused here, but perfbench/tracer.py wraps drivers.normal_form
@@ -208,8 +212,8 @@ def f5c(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
 
 
 def _gm_entry(g):
-    """(monic polynomial, head key)."""
-    return g, g.lt_key()
+    """[monic polynomial, head key]; a list, so the oracle can swap in a reduced tail."""
+    return [g, g.lt_key()]
 
 
 def _gm_pair(e1, e2, lcm, serial):
@@ -220,10 +224,11 @@ def _gm_pair(e1, e2, lcm, serial):
 def _gm_update(G, pairs, h, serial):
     """Gebauer-Moller pair update: add the entry h to G, drop new and old pairs.
 
-    G holds _gm_entry tuples and pairs holds _gm_pair tuples; serials number
-    the pairs in creation order and make the selection key a total order.
-    Returns (new G, new pairs, next serial).  Every divisibility test is one
-    guarded subtraction on exponent words, as in PolynomialRing.divides.
+    G holds _gm_entry lists, with pairwise indivisible heads, none of which
+    divides h's, and pairs holds _gm_pair tuples; serials number the pairs
+    in creation order and make the selection key a total order.  Returns
+    (new G, new pairs, next serial).  Every divisibility test is one guarded
+    subtraction on exponent words, as in PolynomialRing.divides.
     """
     ring = h[0].ring
     ht = h[1]
@@ -236,15 +241,23 @@ def _gm_update(G, pairs, h, serial):
     # equal lcms the last one stays.  Coprime pairs take part in the chain
     # test and then go (product criterion); a pair is coprime iff its lcm
     # key is the product key, because ka + kb - unit_key - lcm is the key
-    # offset of the gcd.  C holds (lcm word, coprime, lcm, entry).
-    C = [(m ^ unit, m == ht + e[1] - unit, m, e) for m, e in zip(row, G)]
-    D = []
-    for i, c in enumerate(C):
-        t = c[0] | g
-        if c[1] or not (
-            any((t - o[0]) & g == g for o in C[i + 1:]) or any((t - o[0]) & g == g for o in D)
-        ):
-            D.append(c)
+    # offset of the gcd.  A divisor's key is never above its multiple's, so
+    # the lcms go in ascending (key, position descending) order, each tested
+    # against the lcm words kept so far only: the first divisor an lcm meets
+    # has none before it, so it is kept, and an lcm is dropped iff some
+    # other one before it divides it.  That drops the pairs a test of every
+    # lcm against every other drops (the reference in tests/), since with
+    # indivisible heads no coprime lcm equals another lcm.  E keeps G's
+    # order, which numbers the serials.
+    coprime = [m == ht + k - unit for m, k in zip(row, heads)]
+    keep = [False] * len(row)
+    words = []
+    for i in sorted(range(len(row) - 1, -1, -1), key=row.__getitem__):
+        w = row[i] ^ unit
+        t = w | g
+        if coprime[i] or not any((t - o) & g == g for o in words):
+            keep[i] = True
+            words.append(w)
     # old pairs (e1, e2): dropped when ht divides their lcm and neither
     # lcm(e1, h) nor lcm(h, e2) equals it, so the chain e1, h, e2 has
     # strictly smaller lcms.  Those lcms come from the new row, keyed by
@@ -260,8 +273,8 @@ def _gm_update(G, pairs, h, serial):
         for p in pairs
         if ((p[1] ^ unit | g) - wh) & g != g or lcm_h(p[3][1]) == p[1] or lcm_h(p[4][1]) == p[1]
     ]
-    E = [c for c in D if not c[1]]
-    new_pairs = kept_old + [_gm_pair(h, c[3], c[2], serial + n) for n, c in enumerate(E)]
+    E = [i for i, k in enumerate(keep) if k and not coprime[i]]
+    new_pairs = kept_old + [_gm_pair(h, G[i], row[i], serial + n) for n, i in enumerate(E)]
     new_G = [e for e in G if ((e[1] ^ unit | g) - wh) & g != g] + [h]
     return new_G, new_pairs, serial + len(E)
 
@@ -270,40 +283,84 @@ def buchberger_reduced(F):
     """The unique reduced Groebner basis of <F> via Gebauer-Moller Buchberger.
 
     Independent of the signature engine, but it runs on the engine's
-    packed-key arithmetic, ReducerSet and interreduce; the sympy
-    differential test is the check that shares none of them.  Input need not
-    be homogeneous.  Inputs and S-polynomials are normal-formed by one
-    ReducerSet, built once, to which each new element h is added, so its
-    divisor cache serves the whole run.  The set keeps the elements that
-    _gm_update drops from G, but it reduces exactly as a set over G would:
-    an element leaves G only for an h whose head properly divides its own,
-    so with the smallest dividing head (prefer=-1) the head found for any
-    monomial always belongs to an element still in G.
+    packed-key arithmetic and ReducerSet; the sympy differential test is
+    the check that shares none of them.  Input need not be homogeneous.
+    Inputs and S-polynomials are normal-formed by one ReducerSet, built
+    once, to which each new element h is added, so its divisor cache serves
+    the whole run.  The set keeps the elements that _gm_update drops from
+    G, but it reduces exactly as a set over G would: an element leaves G
+    only for an h whose head properly divides its own, so with the smallest
+    dividing head (prefer=-1) the head found for any monomial always
+    belongs to an element still in G.
+
+    G is kept reduced at every step, in place.  ReducerSet.add(h) returns
+    the keys h's head made reducible; the elements of G whose tails hold
+    them (an index from tail key to positions finds them) get tail :=
+    NF(tail) against the set, in ascending position, and the new version
+    replaces the old in the set (replace_tail), in its G entry, which the
+    queued pairs share, and in the index.  So the result is G itself,
+    sorted by head key.  Why this is correct: heads never change, so the
+    criteria and the pair stream stay the same.  A new version g' differs
+    from g by a sum of multiples of elements with a standard representation
+    below lt(g), so each S-polynomial formed from it keeps its
+    lcm-representation, and Buchberger's argument goes through.  Every
+    tail key was cached as irreducible when its fold formed it, and only a
+    new head can make such a key reducible, so at the end G is monic, its
+    heads are pairwise indivisible and its tails irreducible: it is the
+    unique reduced basis.
     """
     fs = [f for f in F if f]
     if not fs:
         raise ValueError("empty input system")
     fs = sorted((f.monic() for f in fs), key=lambda f: (f.degree(), f.lt_key()))
+    ring = fs[0].ring
     G: list = []
-    reducers = ReducerSet(fs[0].ring, [], prefer=-1)
+    reducers = ReducerSet(ring, [], prefer=-1)
+    entries: list = []  # the G entry of each of reducers.polys, None once dropped
+    holders: dict = {}  # tail key -> positions of the live elements whose tails hold it
     pairs: list = []  # a heap on the selection key (lcm degree, lcm key, serial)
     serial = 0
+
+    def reindex(pos, old, new):
+        """Move pos in holders from the tail keys of old to those of new."""
+        was, now = {k for k, _ in old.terms[1:]}, {k for k, _ in new.terms[1:]}
+        for k in was - now:
+            holders[k].remove(pos)
+        for k in now - was:
+            holders.setdefault(k, []).append(pos)
 
     def add(f):
         nonlocal G, pairs, serial
         h = reducers.reduce_full(f)
-        if h:
-            h = h.monic()
-            G, pairs, serial = _gm_update(G, pairs, _gm_entry(h), serial)
-            reducers.add(h)
-            heapify(pairs)
+        if not h:
+            return
+        entry = _gm_entry(h.monic())
+        size = len(G)
+        G, pairs, serial = _gm_update(G, pairs, entry, serial)
+        heapify(pairs)
+        if len(G) <= size:  # h's head divides the heads of the entries that left G
+            live = set(map(id, G))
+            for pos, e in enumerate(entries):
+                if e is not None and id(e) not in live:
+                    reindex(pos, e[0], ring.zero)
+                    entries[pos] = None
+        made = reducers.add(entry[0])
+        for pos in sorted({pos for k in made for pos in holders.get(k, ())}):
+            e = entries[pos]
+            g = e[0]
+            tail = reducers.reduce_full(Polynomial(ring, g.terms[1:]))
+            e[0] = Polynomial(ring, g.terms[:1] + tail.terms)
+            reducers.replace_tail(pos, e[0])
+            reindex(pos, g, e[0])
+        reindex(len(entries), ring.zero, entry[0])
+        entries.append(entry)
 
     for f in fs:
         add(f)
     while pairs:
         g1, g2 = heappop(pairs)[3:]
         add(spoly(g1[0], g2[0]))
-    return interreduce([g[0] for g in G])
+    return sorted((e[0] for e in G), key=Polynomial.lt_key)
 
 
 def groebner_check(G) -> bool:

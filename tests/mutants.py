@@ -104,6 +104,11 @@ LEX_GUARD_TESTS = (
 )
 PARSER_TESTS = ("tests/test_cli.py",)
 GM_TESTS = ("tests/test_drivers.py::test_gebauer_moller_pair_stream_is_pinned",)
+GM_REFERENCE_TESTS = (
+    "tests/test_drivers.py::test_gm_update_matches_the_all_pairs_reference",
+    "tests/test_drivers.py::test_gm_update_replays_the_oracle_and_the_check_as_the_reference",
+)
+ORACLE_WORK_TESTS = ("tests/test_drivers.py::test_oracle_work_is_pinned",)
 CRITERIA_TESTS = (
     "tests/test_acceptance.py::test_criterion_2_trace_fidelity",
     "tests/test_engine.py",
@@ -163,20 +168,21 @@ MUTANTS = (
     ),
     # -- the tail pass (algebra.reduced_basis) and the public check around it
     Mutant(
-        # later tails reduce against the element's raw tail: the same basis,
+        # a swap leaves the candidate's tail as it was (ReducerSet.replace_tail):
+        # later tails reduce against the element's raw tail, the same basis,
         # but more eliminations, and vectors that no longer match the tails
         "tail-not-replaced",
         "algebra.py",
-        "        cands[i] = shared._candidate(i)\n",
+        "        self._cands[i][4:] = self._tail(g)\n",
         "",
         TAIL_PASS_TESTS,
     ),
     Mutant(
-        # the set and the candidates rebuilt from it keep the elements' raw
-        # tails: f5c stores a basis that is not reduced
+        # a swap reaches the candidate but not polys: the set keeps the
+        # elements' raw tails, and f5c stores a basis that is not reduced
         "reduced-polys-not-stored",
         "algebra.py",
-        "        polys[i] = Polynomial(ring, g.terms[:1] + tail.terms)\n",
+        "        self.polys[pos] = g\n",
         "",
         TAIL_PASS_TESTS,
     ),
@@ -460,11 +466,11 @@ MUTANTS = (
         LEX_GUARD_TESTS,
     ),
     Mutant(
-        # a reduced tail keeps the degree of the raw tail it replaced
+        # a swapped tail keeps the degree of the tail it replaced
         "replaced-tail-degree-stale",
         "algebra.py",
-        "        cands[i] = shared._candidate(i)\n",
-        "        cands[i] = cands[i][:4] + (tail.terms, cands[i][5])\n",
+        "        self._cands[i][4:] = self._tail(g)\n",
+        "        self._cands[i][4] = g.terms[1:]\n",
         LEX_GUARD_TESTS,
     ),
     # -- the one term-by-term product loop (algebra.sum_products)
@@ -555,8 +561,8 @@ MUTANTS = (
     Mutant(
         "oracle-largest-head",
         "drivers.py",
-        "ReducerSet(fs[0].ring, [], prefer=-1)",
-        "ReducerSet(fs[0].ring, [])",
+        "ReducerSet(ring, [], prefer=-1)",
+        "ReducerSet(ring, [])",
         ORACLE_CHOICE_TESTS,
     ),
     Mutant(
@@ -570,16 +576,24 @@ MUTANTS = (
     Mutant(
         "add-overwrites-regardless-of-prefer",
         "algebra.py",
-        "                if old is None or (hk < old[0] if smallest else hk >= old[0]):\n",
-        "                if True:\n",
+        "                elif hk < old[0] if smallest else hk >= old[0]:\n",
+        "                elif True:\n",
         ADD_TESTS,
     ),
     Mutant(
         "add-skips-irreducible-entries",
         "algebra.py",
-        "if old is None or (hk",
-        "if old is not None and (hk",
+        "                    made.append(key)\n                    cache[key] = cand\n",
+        "                    made.append(key)\n",
         ADD_TESTS,
+    ),
+    Mutant(
+        # the oracle re-reduces no tail: a basis that is not reduced
+        "add-returns-no-keys",
+        "algebra.py",
+        "        return made\n",
+        "        return []\n",
+        ADD_TESTS + ORACLE_WORK_TESTS,
     ),
     Mutant(
         "add-merges-no-new-keys",
@@ -633,16 +647,54 @@ MUTANTS = (
     Mutant(
         "no-product-criterion",
         "drivers.py",
-        "    E = [c for c in D if not c[1]]\n",
-        "    E = D\n",
+        "    E = [i for i, k in enumerate(keep) if k and not coprime[i]]\n",
+        "    E = [i for i, k in enumerate(keep) if k]\n",
         GM_TESTS,
     ),
     Mutant(
         "no-chain-test-among-new-pairs",
         "drivers.py",
-        "        if c[1] or not (\n",
-        "        if True or not (\n",
+        "        if coprime[i] or not any(",
+        "        if True or not any(",
         GM_TESTS,
+    ),
+    Mutant(
+        # among equal lcms the first stays, not the last: the same number of
+        # pairs, but other ones, with other serials
+        "chain-test-keeps-the-first-equal-lcm",
+        "drivers.py",
+        "sorted(range(len(row) - 1, -1, -1), key=row.__getitem__)",
+        "sorted(range(len(row)), key=row.__getitem__)",
+        GM_REFERENCE_TESTS,
+    ),
+    # -- the oracle's running basis, kept reduced in place
+    #    (drivers.buchberger_reduced)
+    Mutant(
+        # the tail is swapped in G and in polys but not in the candidate: the
+        # same basis, but later reductions meet the stale tail
+        "oracle-swap-skips-candidate",
+        "drivers.py",
+        "            reducers.replace_tail(pos, e[0])\n",
+        "            reducers.polys[pos] = e[0]\n",
+        ORACLE_WORK_TESTS,
+    ),
+    Mutant(
+        # the index keeps the old tail's keys: a key only the new tail holds
+        # is never found again
+        "oracle-index-not-updated",
+        "drivers.py",
+        "            reindex(pos, g, e[0])\n",
+        "",
+        ORACLE_WORK_TESTS,
+    ),
+    Mutant(
+        # the elements that left G stay indexed: a new head that makes a key
+        # of such a tail reducible sends the oracle to an entry that is gone
+        "oracle-keeps-dropped-entries-indexed",
+        "drivers.py",
+        "                    reindex(pos, e[0], ring.zero)\n",
+        "",
+        ORACLE_WORK_TESTS,
     ),
     Mutant(
         "no-chain-test-on-old-pairs",

@@ -1161,19 +1161,31 @@ def _answers(rs, keys, F):
 @pytest.mark.parametrize("prefer", [1, -1])
 def test_reducer_set_grown_by_add_answers_as_a_fresh_set(kind, prefer):
     # lookups before and between the adds leave keys cached as irreducible
-    # and keys cached with a divisor, which each add must carry or rewrite
+    # and keys cached with a divisor, which each add must carry or rewrite;
+    # add returns the keys it made reducible, and the tail swaps between
+    # the adds must reach every cached answer that holds the element
     rnd = random.Random(f"{kind} {prefer}")
     ring = PolynomialRing(101, ("x", "y", "z"), kind)
     for _ in range(25):
-        grown, added = ReducerSet(ring, [], prefer=prefer), []
+        grown, added, current = ReducerSet(ring, [], prefer=prefer), [], []
         for f in [_random_poly(rnd, ring) for _ in range(rnd.randint(0, 3))]:
             grown.reduce_full(f)
         for _ in range(6):
             g = _next_reducer(rnd, ring, added)
-            grown.add(g)
+            irreducible = [k for k, cand in grown._cache.items() if cand is None]
+            made = grown.add(g)
+            assert made == sorted(k for k in irreducible if grown._cache[k] is not None)
             added.append(g)
-            fresh = ReducerSet(ring, added, prefer=prefer)
-            assert grown.polys == fresh.polys
+            if g:
+                current.append(g)
+            if current and rnd.random() < 0.6:
+                pos = rnd.randrange(len(current))
+                old = current[pos]
+                new = _random_poly(rnd, ring, old.lt(), size=rnd.randint(0, 5)).scale(old.lc())
+                grown.replace_tail(pos, new)
+                current[pos] = new
+            assert grown.polys == current
+            fresh = ReducerSet(ring, current, prefer=prefer)
             keys = list(grown._cache)
             F = [_random_poly(rnd, ring, size=6) for _ in range(3)]
             assert _answers(grown, keys, F) == _answers(fresh, keys, F)
@@ -1192,6 +1204,15 @@ def test_reducer_set_add_edge_cases():
     with pytest.raises(ValueError):  # y would have no cofactor vector
         with_vectors.add(y)
     assert with_vectors.polys == [x]
+    # a tail swap keeps the leading term: a new head, a new leading
+    # coefficient, zero or another ring raises and leaves the set as it was
+    swapped = ReducerSet(ring, [x + y, y])
+    swapped.replace_tail(0, x)
+    assert swapped.polys == [x, y] and swapped.find_divisor(x.lt_key())[4] == ()
+    for bad in (y, x.scale(2) + y, ring.zero, P(other, (1, (1, 0)))):
+        with pytest.raises(ValueError):
+            swapped.replace_tail(0, bad)
+    assert swapped.polys == [x, y]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Driver-level tests: the three variants, the oracle, and their agreement."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -349,7 +350,7 @@ def test_gebauer_moller_matches_unpruned_buchberger():
 def test_oracle_builds_one_reducer_set(monkeypatch):
     # the oracle reduces every input and S-polynomial against one ReducerSet
     # and grows it in place when _gm_update changes G; normal_form would
-    # build a fresh set on every call
+    # build a fresh set on every call, and a final interreduce one more
     counts = {"builds": 0, "changes": 0}
 
     def counted(name, counter):
@@ -363,6 +364,7 @@ def test_oracle_builds_one_reducer_set(monkeypatch):
 
     counted("ReducerSet", "builds")
     counted("normal_form", "builds")
+    counted("interreduce", "builds")  # its reduced_basis would build another set
     counted("_gm_update", "changes")
     F = cyclic(5, 101)
     basis = buchberger_reduced(F)
@@ -523,6 +525,90 @@ def test_oracle_pair_stream_is_pinned_on_katsura5(monkeypatch):
     assert counts == {"_gm_update": 22, "spoly": 64}
 
 
+def reference_gm_update(G, pairs, h, serial):
+    """drivers._gm_update with the all-pairs chain test among the new pairs.
+
+    Each new lcm is tested against every later new lcm and every kept one,
+    so one update costs time quadratic in |G|: the reference the update's
+    sorted scan must match.
+    """
+    ring = h[0].ring
+    ht = h[1]
+    unit, g = ring.unit_key, ring.guard
+    wh = ht ^ unit
+    heads = [e[1] for e in G]
+    row = ring.lcms(ht, heads)
+    # C holds (lcm word, coprime, lcm, entry); among equal lcms the last stays
+    C = [(m ^ unit, m == ht + e[1] - unit, m, e) for m, e in zip(row, G)]
+    D = []
+    for i, c in enumerate(C):
+        t = c[0] | g
+        if c[1] or not (
+            any((t - o[0]) & g == g for o in C[i + 1:]) or any((t - o[0]) & g == g for o in D)
+        ):
+            D.append(c)
+    by_head = dict(zip(heads, row))
+
+    def lcm_h(k):
+        m = by_head.get(k)
+        return ring.lcm(ht, k) if m is None else m
+
+    kept_old = [
+        p
+        for p in pairs
+        if ((p[1] ^ unit | g) - wh) & g != g or lcm_h(p[3][1]) == p[1] or lcm_h(p[4][1]) == p[1]
+    ]
+    E = [c for c in D if not c[1]]
+    new_pairs = kept_old + [
+        f5gb.drivers._gm_pair(h, c[3], c[2], serial + n) for n, c in enumerate(E)
+    ]
+    new_G = [e for e in G if ((e[1] ^ unit | g) - wh) & g != g] + [h]
+    return new_G, new_pairs, serial + len(E)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_gm_update_matches_the_all_pairs_reference(kind):
+    # random monomial heads, each divisible by no head in G (the update's
+    # precondition, which the oracle and the check keep); a head may divide
+    # older ones, which leave G, and some pairs are popped between updates,
+    # as the oracle pops them, so old pairs can name entries that left G
+    rnd = random.Random(kind)
+    ring = PolynomialRing(32003, ("x", "y", "z", "w"), kind)
+    entry = f5gb.drivers._gm_entry
+    updates = 0
+    for _ in range(80):
+        G, pairs, serial = [], [], 0
+        for _ in range(rnd.randint(3, 30)):
+            exps = tuple(rnd.choice((0, 0, 1, 2, 3)) for _ in range(4))
+            key = ring.key(exps)
+            if any(ring.divides(e[1], key) for e in G):
+                continue
+            h = entry(ring.from_terms([(exps, 1)]))
+            expected = reference_gm_update(G, pairs, h, serial)
+            G, pairs, serial = f5gb.drivers._gm_update(G, pairs, h, serial)
+            assert (G, pairs, serial) == expected
+            updates += 1
+            for _ in range(rnd.randint(0, min(2, len(pairs)))):
+                pairs.pop(rnd.randrange(len(pairs)))
+    assert updates > 400
+
+
+@pytest.mark.parametrize("name", ["katsura-5", "cyclic-5"])
+def test_gm_update_replays_the_oracle_and_the_check_as_the_reference(name, monkeypatch):
+    real, calls = f5gb.drivers._gm_update, []
+
+    def compared(G, pairs, h, serial):
+        out = real(G, pairs, h, serial)
+        assert out == reference_gm_update(G, pairs, h, serial)
+        calls.append(len(G))
+        return out
+
+    monkeypatch.setattr(f5gb.drivers, "_gm_update", compared)
+    basis = buchberger_reduced((katsura if name == "katsura-5" else cyclic)(5, 32003))
+    assert groebner_check(basis)
+    assert len(calls) == {"katsura-5": 22 + 22, "cyclic-5": 38 + 38}[name]
+
+
 def test_an_lcm_past_the_packed_degree_raises_everywhere():
     # the heads are coprime, so the product criterion drops their pair, but
     # its lcm (total degree 32768) does not pack: the oracle and the check
@@ -642,13 +728,30 @@ def test_oracle_reduces_against_the_smallest_dividing_head(name, monkeypatch):
     # the oracle's running set is no Groebner basis until the end, so the
     # choice changes the elements it adds, but not the reduced basis it
     # returns, which is unique.  It takes the smallest head: on katsura-6
-    # its running sets eliminate 17,911 times, against 18,466 with the
-    # largest (cyclic-6: 16,838 against 16,571)
+    # its running set eliminates 16,429 times, against 16,835 with the
+    # largest (cyclic-6: 14,281 against 13,356)
     F = (katsura if name == "katsura-5" else cyclic)(5)
     basis, eliminations = _oracle_run(F, monkeypatch)
     assert _oracle_run(F, monkeypatch, prefer=-1) == (basis, eliminations)
     largest = _oracle_run(F, monkeypatch, prefer=1)
     assert largest[0] == basis and largest[1] != eliminations
+
+
+def test_oracle_work_is_pinned(monkeypatch):
+    # the oracle keeps its running basis reduced, and each new head
+    # re-reduces only the tails it makes reducible.  A tail left stale in
+    # the set, or re-reduced in vain, leaves the basis as it is but moves
+    # these counts (with one final interreduction and no tail swaps they
+    # read 3,242 and 1,517, that interreduction's eliminations not counted)
+    assert _oracle_run(katsura(5, 32003), monkeypatch)[1] == 2789
+    assert _oracle_run(cyclic(5, 32003), monkeypatch)[1] == 1289
+    # affine katsura-3 under lex: new heads divide older ones 25 times, and
+    # the elements that leave G leave the tail index too
+    K = katsura(3, 32003)
+    ring = PolynomialRing(32003, K[0].ring.names[:-1], "lex")
+    F = [ring.from_terms((m[:-1], c) for m, c in f.dict().items()) for f in K]
+    basis, eliminations = _oracle_run(F, monkeypatch)
+    assert eliminations == 202 and basis == criteria_free_buchberger(F)
 
 
 # ---------------------------------------------------------------------------
