@@ -657,7 +657,8 @@ class ReducerSet:
     guarded subtraction decides each divisibility test; lookups are
     memoized, so reusing one ReducerSet across many reductions against the
     same basis amortizes the divisor search; add grows the set in place
-    with its divisor cache, and replace_tail swaps an element's tail.  Ties
+    with its divisor cache, and reduce_tail reduces an element's tail
+    against the set in place, the one tail reduction in f5gb.  Ties
     between several dividing heads go to the largest by default (prefer=-1
     selects the smallest instead).  Against a Groebner basis every choice
     yields the same normal form, which is unique, though not the same
@@ -696,7 +697,7 @@ class ReducerSet:
         self._cache: dict[int, list | None] = {}
         self._swept: list[int] = []  # the cached keys as of the last add, ascending
 
-    def add(self, g: Polynomial) -> list:
+    def add(self, g: Polynomial):
         """Append g to polys: every later answer is that of a set built over polys + [g].
 
         g's candidate goes after any equal heads, where a fresh sort puts
@@ -707,17 +708,15 @@ class ReducerSet:
         cached keys at or above g's head key are read; they are kept
         ascending in _swept, into which each add first merges the keys
         cached since the last one (the cache keeps insertion order and
-        never drops a key), so lookups pay nothing for it.  Returns the
-        keys g made reducible, ascending: those cached as irreducible
-        before.  A zero g is ignored (no keys), one of another ring raises,
-        and so does a set with cofactor vectors (ValueError), which carry
-        no vector for g.
+        never drops a key), so lookups pay nothing for it.  A zero g is
+        ignored, one of another ring raises, and so does a set with
+        cofactor vectors (ValueError), which carry no vector for g.
         """
         one_ring(self.ring, g.ring)
         if self.cofactors is not None:
             raise ValueError("a ReducerSet with cofactor vectors cannot grow")
         if not g:
-            return []
+            return
         self.polys.append(g)
         cand = self._candidate(len(self.polys) - 1)
         hk, hw = cand[0], cand[1]
@@ -730,32 +729,28 @@ class ReducerSet:
             swept.sort()
         unit, guard = self.ring.unit_key, self.ring.guard
         smallest = self._prefer < 0
-        made = []
         for key in swept[bisect.bisect_left(swept, hk):]:
             if ((key ^ unit | guard) - hw) & guard == guard:
                 old = cache[key]
-                if old is None:
-                    made.append(key)
+                if old is None or (hk < old[0] if smallest else hk >= old[0]):
                     cache[key] = cand
-                elif hk < old[0] if smallest else hk >= old[0]:
-                    cache[key] = cand
-        return made
 
-    def replace_tail(self, pos: int, g: Polynomial):
-        """Swap polys[pos] for g, which keeps its head and leading coefficient.
+    def reduce_tail(self, pos: int):
+        """Reduce the tail of polys[pos], and its vector if any, against the set.
 
-        The candidate of polys[pos] takes g's tail and tail degree in
-        place, so every cached answer that holds it sees the new tail, and
-        the keys it answers for stay as they were: a reducer's head decides
-        which monomials it divides.  A g of another ring, or whose leading
-        term differs, raises (ValueError for the term).
+        The one tail reduction (reduce_payload).  The head stays, so every
+        key keeps its answer, and the candidate takes the new tail and tail
+        degree in place, where each cached answer that holds it sees them.
         """
-        one_ring(self.ring, g.ring)
-        head = self.polys[pos].terms[0]
-        if not g or g.terms[0] != head:
-            raise ValueError("replace_tail keeps the head and leading coefficient")
+        ring, g, vecs = self.ring, self.polys[pos], self.cofactors
+        tail, vec = reduce_payload(
+            self, Polynomial(ring, g.terms[1:]), None if vecs is None else vecs[pos], None
+        )
+        g = Polynomial(ring, g.terms[:1] + tail.terms)
         self.polys[pos] = g
-        i = bisect.bisect_left(self._keys, head[0])
+        if vecs is not None:
+            vecs[pos] = vec
+        i = bisect.bisect_left(self._keys, g.terms[0][0])
         while self._cands[i][3] != pos:
             i += 1
         self._cands[i][4:] = self._tail(g)
@@ -763,7 +758,7 @@ class ReducerSet:
     def _candidate(self, pos: int) -> list:
         """[head key, head word, 1/lc, position, tail, tail degree] of polys[pos].
 
-        A list, so that replace_tail can swap the tail where every cached
+        A list, so that reduce_tail can swap the tail where every cached
         answer sees it; the benchmark's counting pass reads the tail at
         index 4.
         """
@@ -1033,15 +1028,10 @@ def reduced_basis(G, cofs, stats=None):
     # indivisible, so only tail monomials ever reduce, and any fixpoint with
     # these heads is the canonical reduced basis.  Tails go in ascending
     # head order, and every reducer of a tail has a smaller head, so each
-    # element's reduced tail goes into its polynomial and its candidate
-    # (replace_tail), and its reduced vector into its vector, before any
-    # tail can use them; the divisor cache stays valid, since a swap
-    # changes no head.
+    # reduced tail and vector is in the set before any tail can use it.
     shared = ReducerSet(ring, kept, cofactors=kcofs)
-    polys, vecs = shared.polys, shared.cofactors
-    for i, g in enumerate(polys):
-        tail, vecs[i] = reduce_payload(shared, Polynomial(ring, g.terms[1:]), vecs[i], None)
-        shared.replace_tail(i, Polynomial(ring, g.terms[:1] + tail.terms))
+    for i in range(len(kept)):
+        shared.reduce_tail(i)
     # against the set, a Groebner basis if G is one, the smallest dividing
     # head does less work than the largest; on the tails it did more
     # (katsura-6 f5r: 936 eliminations against 699).  The divisors cached

@@ -14,7 +14,8 @@ System file format (line oriented, '#' starts a comment):
 multi-character variable names stay unambiguous.  Integers are decimal
 digits.
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 computation error.
+Exit codes: 0 success, 1 usage, 2 parse error or an --input or --stats-json
+file that cannot be read or written, 3 computation error.
 """
 
 from __future__ import annotations
@@ -227,10 +228,16 @@ def _build_parser():
     return parser
 
 
-def _write_stats(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_stats(path, payload, stderr):
+    """Write payload to path as JSON; EXIT_PARSE if path cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def _run_single(args, F, stdout, stderr):
@@ -243,7 +250,7 @@ def _run_single(args, F, stdout, stderr):
             ring = F[0].ring
             stats = RunStats("buchberger", ring.p, ring.order.kind, basis_size_final=len(basis),
                              reduced_basis_agrees_with_oracle=True)
-            _write_stats(args.stats_json, {**stats.to_dict(), "totals": {}})
+            return _write_stats(args.stats_json, {**stats.to_dict(), "totals": {}}, stderr)
         return EXIT_OK
     cfg = VariantConfig(
         variant=args.algorithm,
@@ -258,7 +265,7 @@ def _run_single(args, F, stdout, stderr):
         reduced = result.basis if result.reduced else interreduce(result.basis)
         oracle = buchberger_reduced(F)
         result.stats.reduced_basis_agrees_with_oracle = reduced == oracle
-        _write_stats(args.stats_json, result.stats.to_dict())
+        return _write_stats(args.stats_json, result.stats.to_dict(), stderr)
     return EXIT_OK
 
 
@@ -297,7 +304,7 @@ def _cmd_bench(args, stdout, stderr):
             file=stdout,
         )
     if args.stats_json:
-        _write_stats(args.stats_json, [s.to_dict() for s in records])
+        return _write_stats(args.stats_json, [s.to_dict() for s in records], stderr)
     return EXIT_OK
 
 

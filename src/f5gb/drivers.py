@@ -27,7 +27,7 @@ iteration's carried set (f5's raw basis, reduced_basis's result for f5r and
 f5c), groebner_check's, and the oracle's running set, whose unique reduced
 basis does not depend on the pick.  The oracle builds that set once and
 grows it in place (ReducerSet.add), so one divisor cache serves its whole
-run, and it keeps its basis reduced in that set (ReducerSet.replace_tail),
+run, and it keeps its basis reduced in that set (ReducerSet.reduce_tail),
 so it needs no final interreduction.  Against f5's raw basis the smallest
 head saves the most (katsura-8: 5,584,563 reduction steps, against
 8,708,308 with the largest).  The largest stays in reduced_basis's tail
@@ -38,16 +38,17 @@ buchberger_reduced is the correctness oracle: a Buchberger loop under the
 Gebauer-Moller criteria.  It shares no signature code with the engine, but it
 does share the polynomial layer: packed-key arithmetic (ring.lcms, and the
 guarded subtraction of ring.divides, inline in _gm_update) and ReducerSet,
-with its fold_normal_form loop, but neither interreduce nor reduced_basis,
-which groebner_check and the rebuilds run.  tests/test_sympy_differential.py
-checks the oracle and the check against sympy, which shares none of that
-code.
+with fold_normal_form and the tail reduction reduce_tail, but neither
+interreduce nor reduced_basis, which groebner_check and the rebuilds run.
+tests/test_sympy_differential.py checks the oracle and the check against
+sympy, which shares none of that code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop
+from itertools import islice
 
 from .algebra import (
     NonHomogeneousError,
@@ -211,9 +212,9 @@ def f5c(F, config: VariantConfig | None = None, trace=None) -> BasisResult:
 # the independent oracle
 
 
-def _gm_entry(g):
-    """[monic polynomial, head key]; a list, so the oracle can swap in a reduced tail."""
-    return [g, g.lt_key()]
+def _gm_entry(g, pos):
+    """[monic polynomial, head key, set position]; a list, so the oracle can swap in a tail."""
+    return [g, g.lt_key(), pos]
 
 
 def _gm_pair(e1, e2, lcm, serial):
@@ -293,21 +294,20 @@ def buchberger_reduced(F):
     dividing head (prefer=-1) the head found for any monomial always
     belongs to an element still in G.
 
-    G is kept reduced at every step, in place.  ReducerSet.add(h) returns
-    the keys h's head made reducible; the elements of G whose tails hold
-    them (an index from tail key to positions finds them) get tail :=
-    NF(tail) against the set, in ascending position, and the new version
-    replaces the old in the set (replace_tail), in its G entry, which the
-    queued pairs share, and in the index.  So the result is G itself,
-    sorted by head key.  Why this is correct: heads never change, so the
-    criteria and the pair stream stay the same.  A new version g' differs
-    from g by a sum of multiples of elements with a standard representation
-    below lt(g), so each S-polynomial formed from it keeps its
-    lcm-representation, and Buchberger's argument goes through.  Every
-    tail key was cached as irreducible when its fold formed it, and only a
-    new head can make such a key reducible, so at the end G is monic, its
-    heads are pairwise indivisible and its tails irreducible: it is the
-    unique reduced basis.
+    G is kept reduced at every step, in place.  After reducers.add(h), G
+    is walked in ascending position, the order _gm_update keeps, and an
+    element whose tail h's head divides gets tail := NF(tail) against the
+    set (reducers.reduce_tail), which its G entry, shared with the queued
+    pairs, takes too.  A divisor's key is never above its multiple's, so
+    only tail terms with keys at or above h's head key are read.  So the
+    result is G itself, sorted by head key.  Why this is correct: heads
+    never change, so the criteria and the pair stream stay the same.  A new version g' differs from g by a sum of
+    multiples of elements with a standard representation below lt(g), so
+    each S-polynomial formed from it keeps its lcm-representation, and
+    Buchberger's argument goes through.  Every tail is a normal form
+    against the set when it is formed, and only a new head can make one of
+    its terms reducible, so at the end G is monic, its heads are pairwise
+    indivisible and its tails irreducible: it is the unique reduced basis.
     """
     fs = [f for f in F if f]
     if not fs:
@@ -316,44 +316,27 @@ def buchberger_reduced(F):
     ring = fs[0].ring
     G: list = []
     reducers = ReducerSet(ring, [], prefer=-1)
-    entries: list = []  # the G entry of each of reducers.polys, None once dropped
-    holders: dict = {}  # tail key -> positions of the live elements whose tails hold it
     pairs: list = []  # a heap on the selection key (lcm degree, lcm key, serial)
     serial = 0
-
-    def reindex(pos, old, new):
-        """Move pos in holders from the tail keys of old to those of new."""
-        was, now = {k for k, _ in old.terms[1:]}, {k for k, _ in new.terms[1:]}
-        for k in was - now:
-            holders[k].remove(pos)
-        for k in now - was:
-            holders.setdefault(k, []).append(pos)
 
     def add(f):
         nonlocal G, pairs, serial
         h = reducers.reduce_full(f)
         if not h:
             return
-        entry = _gm_entry(h.monic())
-        size = len(G)
+        entry = _gm_entry(h.monic(), len(reducers.polys))
         G, pairs, serial = _gm_update(G, pairs, entry, serial)
         heapify(pairs)
-        if len(G) <= size:  # h's head divides the heads of the entries that left G
-            live = set(map(id, G))
-            for pos, e in enumerate(entries):
-                if e is not None and id(e) not in live:
-                    reindex(pos, e[0], ring.zero)
-                    entries[pos] = None
-        made = reducers.add(entry[0])
-        for pos in sorted({pos for k in made for pos in holders.get(k, ())}):
-            e = entries[pos]
-            g = e[0]
-            tail = reducers.reduce_full(Polynomial(ring, g.terms[1:]))
-            e[0] = Polynomial(ring, g.terms[:1] + tail.terms)
-            reducers.replace_tail(pos, e[0])
-            reindex(pos, g, e[0])
-        reindex(len(entries), ring.zero, entry[0])
-        entries.append(entry)
+        reducers.add(entry[0])
+        hk = entry[1]
+        for e in G:
+            for k, _ in islice(e[0].terms, 1, None):
+                if k < hk:
+                    break
+                if ring.divides(hk, k):
+                    reducers.reduce_tail(e[2])
+                    e[0] = reducers.polys[e[2]]
+                    break
 
     for f in fs:
         add(f)
@@ -402,6 +385,6 @@ def groebner_check(G) -> bool:
     entries: list = []
     pairs: list = []
     serial = 0
-    for g in reducers.polys:
-        entries, pairs, serial = _gm_update(entries, pairs, _gm_entry(g), serial)
+    for pos, g in enumerate(reducers.polys):
+        entries, pairs, serial = _gm_update(entries, pairs, _gm_entry(g, pos), serial)
     return not any(reducers.reduce_full(spoly(p[3][0], p[4][0])) for p in pairs)

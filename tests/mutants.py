@@ -160,31 +160,34 @@ MUTANTS = (
     ),
     Mutant(
         # each element keeps the vector it came in with, for later tails too
+        # (ReducerSet.reduce_tail)
         "tail-vector-not-replaced",
         "algebra.py",
-        "        tail, vecs[i] = reduce_payload(",
-        "        tail, _ = reduce_payload(",
+        "        if vecs is not None:\n            vecs[pos] = vec\n",
+        "",
         COFACTOR_TESTS,
     ),
-    # -- the tail pass (algebra.reduced_basis) and the public check around it
+    # -- the one tail reduction (algebra.ReducerSet.reduce_tail), the tail
+    #    pass around it (algebra.reduced_basis) and the public check
     Mutant(
-        # a swap leaves the candidate's tail as it was (ReducerSet.replace_tail):
-        # later tails reduce against the element's raw tail, the same basis,
-        # but more eliminations, and vectors that no longer match the tails
+        # a reduced tail leaves the candidate's tail as it was: later tails
+        # reduce against the element's raw tail, the same basis, but more
+        # eliminations, and vectors that no longer match the tails
         "tail-not-replaced",
         "algebra.py",
         "        self._cands[i][4:] = self._tail(g)\n",
         "",
-        TAIL_PASS_TESTS,
+        TAIL_PASS_TESTS + ADD_TESTS + ORACLE_WORK_TESTS,
     ),
     Mutant(
-        # a swap reaches the candidate but not polys: the set keeps the
-        # elements' raw tails, and f5c stores a basis that is not reduced
+        # a reduced tail reaches the candidate but not polys: the set keeps
+        # the elements' raw tails, f5c stores a basis that is not reduced,
+        # and the oracle's G entries keep their stale tails
         "reduced-polys-not-stored",
         "algebra.py",
         "        self.polys[pos] = g\n",
         "",
-        TAIL_PASS_TESTS,
+        TAIL_PASS_TESTS + ADD_TESTS + ORACLE_WORK_TESTS,
     ),
     Mutant(
         "eliminations-not-counted",
@@ -466,7 +469,7 @@ MUTANTS = (
         LEX_GUARD_TESTS,
     ),
     Mutant(
-        # a swapped tail keeps the degree of the tail it replaced
+        # a reduced tail keeps the degree of the tail it replaced
         "replaced-tail-degree-stale",
         "algebra.py",
         "        self._cands[i][4:] = self._tail(g)\n",
@@ -576,24 +579,16 @@ MUTANTS = (
     Mutant(
         "add-overwrites-regardless-of-prefer",
         "algebra.py",
-        "                elif hk < old[0] if smallest else hk >= old[0]:\n",
-        "                elif True:\n",
+        "(hk < old[0] if smallest else hk >= old[0])",
+        "True",
         ADD_TESTS,
     ),
     Mutant(
         "add-skips-irreducible-entries",
         "algebra.py",
-        "                    made.append(key)\n                    cache[key] = cand\n",
-        "                    made.append(key)\n",
+        "                if old is None or (",
+        "                if old is not None and (",
         ADD_TESTS,
-    ),
-    Mutant(
-        # the oracle re-reduces no tail: a basis that is not reduced
-        "add-returns-no-keys",
-        "algebra.py",
-        "        return made\n",
-        "        return []\n",
-        ADD_TESTS + ORACLE_WORK_TESTS,
     ),
     Mutant(
         "add-merges-no-new-keys",
@@ -668,32 +663,52 @@ MUTANTS = (
         GM_REFERENCE_TESTS,
     ),
     # -- the oracle's running basis, kept reduced in place
-    #    (drivers.buchberger_reduced)
+    #    (drivers.buchberger_reduced): the scan above the new head
     Mutant(
-        # the tail is swapped in G and in polys but not in the candidate: the
-        # same basis, but later reductions meet the stale tail
+        # the tail is reduced in G and in polys but not in the candidate:
+        # the same basis, but later reductions meet the stale tail
         "oracle-swap-skips-candidate",
         "drivers.py",
-        "            reducers.replace_tail(pos, e[0])\n",
-        "            reducers.polys[pos] = e[0]\n",
+        "                    reducers.reduce_tail(e[2])\n"
+        "                    e[0] = reducers.polys[e[2]]\n",
+        "                    e[0] = reducers.polys[e[2]] = Polynomial(ring, e[0].terms[:1] + (\n"
+        "                        reducers.reduce_full(Polynomial(ring, e[0].terms[1:]))).terms)\n",
         ORACLE_WORK_TESTS,
     ),
     Mutant(
-        # the index keeps the old tail's keys: a key only the new tail holds
-        # is never found again
-        "oracle-index-not-updated",
+        # the set holds the reduced tail, but G and the queued pairs keep
+        # the old one: S-polynomials carry the stale tail, and so does the
+        # result
+        "oracle-entry-not-refreshed",
         "drivers.py",
-        "            reindex(pos, g, e[0])\n",
+        "                    e[0] = reducers.polys[e[2]]\n",
         "",
         ORACLE_WORK_TESTS,
     ),
     Mutant(
-        # the elements that left G stay indexed: a new head that makes a key
-        # of such a tail reducible sends the oracle to an entry that is gone
-        "oracle-keeps-dropped-entries-indexed",
+        # every tail is reduced again on every add: the same basis and
+        # eliminations, but normal forms computed in vain
+        "oracle-rereduces-every-tail",
         "drivers.py",
-        "                    reindex(pos, e[0], ring.zero)\n",
-        "",
+        "                if k < hk:\n                    break\n                if ring.divides(hk, k):\n",
+        "                if True:\n",
+        ORACLE_WORK_TESTS,
+    ),
+    Mutant(
+        # the scan ends at the first stale element: later ones keep tails
+        # the new head divides
+        "oracle-scan-stops-after-first-stale-element",
+        "drivers.py",
+        "                    e[0] = reducers.polys[e[2]]\n                    break\n",
+        "                    e[0] = reducers.polys[e[2]]\n                    return\n",
+        ORACLE_WORK_TESTS,
+    ),
+    Mutant(
+        # a tail term equal to the new head is passed over
+        "oracle-scan-skips-the-head-key",
+        "drivers.py",
+        "                if k < hk:\n",
+        "                if k <= hk:\n",
         ORACLE_WORK_TESTS,
     ),
     Mutant(

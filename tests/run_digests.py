@@ -14,7 +14,8 @@ The set is katsura-3..6 and cyclic-4..6 at p = 32003, and katsura-3..5 and
 cyclic-4..5 at p = 101 and 7, each under f5, f5r and f5c, plain and
 certified: 102 runs.  After each system's runs one oracle line gives the
 digest of buchberger_reduced's basis, its _gm_update calls, its
-S-polynomials and the eliminations summed over every ReducerSet it builds,
+S-polynomials, and the eliminations and reduce_full calls summed over every
+ReducerSet it builds (a normal form recomputed in vain moves the last),
 all taken by patching names in f5gb.drivers, so the script runs on trees
 that build those sets differently.  Run it on two trees and diff the
 outputs:
@@ -131,13 +132,20 @@ def digest_oracle(name, n, p, order="grevlex"):
 
         return wrapper
 
-    def built(*args, **kwargs):
-        sets.append(saved["ReducerSet"](*args, **kwargs))
-        return sets[-1]
+    normal_forms = []
+
+    class Built(saved["ReducerSet"]):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sets.append(self)
+
+        def reduce_full(self, *args, **kwargs):
+            normal_forms.append(None)
+            return super().reduce_full(*args, **kwargs)
 
     for fname in counts:
         setattr(drivers, fname, counted(fname))
-    drivers.ReducerSet = built
+    drivers.ReducerSet = Built
     try:
         basis = drivers.buchberger_reduced(system(name, n, p, order))
     finally:
@@ -149,6 +157,7 @@ def digest_oracle(name, n, p, order="grevlex"):
         f" basis={_digest([b.terms for b in basis])}"
         f" gm_updates={counts['_gm_update']} spolys={counts['spoly']}"
         f" eliminations={sum(rs.eliminations for rs in sets)}"
+        f" normal_forms={len(normal_forms)}"
     )
 
 

@@ -1162,8 +1162,9 @@ def _answers(rs, keys, F):
 def test_reducer_set_grown_by_add_answers_as_a_fresh_set(kind, prefer):
     # lookups before and between the adds leave keys cached as irreducible
     # and keys cached with a divisor, which each add must carry or rewrite;
-    # add returns the keys it made reducible, and the tail swaps between
-    # the adds must reach every cached answer that holds the element
+    # the tail reductions between the adds must reach every cached answer
+    # that holds the element.  The random tails are not reduced, so a tail
+    # reduction mostly changes its tail
     rnd = random.Random(f"{kind} {prefer}")
     ring = PolynomialRing(101, ("x", "y", "z"), kind)
     for _ in range(25):
@@ -1172,18 +1173,17 @@ def test_reducer_set_grown_by_add_answers_as_a_fresh_set(kind, prefer):
             grown.reduce_full(f)
         for _ in range(6):
             g = _next_reducer(rnd, ring, added)
-            irreducible = [k for k, cand in grown._cache.items() if cand is None]
-            made = grown.add(g)
-            assert made == sorted(k for k in irreducible if grown._cache[k] is not None)
+            grown.add(g)
             added.append(g)
             if g:
                 current.append(g)
-            if current and rnd.random() < 0.6:
+            for _ in range(rnd.randint(0, 2) if current else 0):
                 pos = rnd.randrange(len(current))
                 old = current[pos]
-                new = _random_poly(rnd, ring, old.lt(), size=rnd.randint(0, 5)).scale(old.lc())
-                grown.replace_tail(pos, new)
-                current[pos] = new
+                tail = ReducerSet(ring, current, prefer=prefer).reduce_full(
+                    Polynomial(ring, old.terms[1:]))
+                grown.reduce_tail(pos)
+                current[pos] = Polynomial(ring, old.terms[:1] + tail.terms)
             assert grown.polys == current
             fresh = ReducerSet(ring, current, prefer=prefer)
             keys = list(grown._cache)
@@ -1204,15 +1204,17 @@ def test_reducer_set_add_edge_cases():
     with pytest.raises(ValueError):  # y would have no cofactor vector
         with_vectors.add(y)
     assert with_vectors.polys == [x]
-    # a tail swap keeps the leading term: a new head, a new leading
-    # coefficient, zero or another ring raises and leaves the set as it was
-    swapped = ReducerSet(ring, [x + y, y])
-    swapped.replace_tail(0, x)
-    assert swapped.polys == [x, y] and swapped.find_divisor(x.lt_key())[4] == ()
-    for bad in (y, x.scale(2) + y, ring.zero, P(other, (1, (1, 0)))):
-        with pytest.raises(ValueError):
-            swapped.replace_tail(0, bad)
-    assert swapped.polys == [x, y]
+    # a tail reduction carries the element's vector over the system along:
+    # x^2 + x*y + 3*y^2 becomes x^2 + 2*y^2 and still equals vec . system
+    system = [P(ring, (1, (2, 0)), (1, (1, 1)), (3, (0, 2))), P(ring, (1, (1, 1)), (1, (0, 2)))]
+    unit = [[ring.one, ring.zero], [ring.zero, ring.one]]
+    reducers = ReducerSet(ring, system, cofactors=unit)
+    reducers.reduce_tail(0)
+    g, vec = reducers.polys[0], reducers.cofactors[0]
+    assert g == P(ring, (1, (2, 0)), (2, (0, 2))) and vec == [ring.one, -ring.one]
+    assert sum((c * f for c, f in zip(vec, system)), ring.zero) == g
+    assert reducers.find_divisor(g.lt_key())[4] == g.terms[1:]
+    assert reducers.cofactors[1] == unit[1] and reducers.polys[1] == system[1]
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,30 @@ def test_run_missing_file():
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--algorithm", "f5"],
+        ["run", "--algorithm", "buchberger"],
+        ["bench", "--system", "katsura", "--n", "3", "--algorithm", "all"],
+    ],
+    ids=["run", "run-buchberger", "bench-all"],
+)
+def test_unwritable_stats_json_exits_two(tmp_path, argv):
+    # the basis is computed and printed, then the stats file cannot be
+    # opened: a message and exit 2, as for an --input that cannot be read
+    path = tmp_path / "app.ideal"
+    path.write_text(APPENDIX_FILE)
+    if argv[0] == "run":
+        argv = argv + ["--input", str(path)]
+    stats_path = tmp_path / "missing" / "stats.json"
+    code, out, err = run(argv + ["--stats-json", str(stats_path)])
+    assert code == EXIT_PARSE
+    assert out.splitlines()
+    assert err.startswith(f"cannot write {stats_path}: ")
+    assert not stats_path.parent.exists()
+
+
 def test_run_parse_failure(tmp_path):
     path = tmp_path / "bad.ideal"
     path.write_text("ring: x,y\nchar: 7\npolys:\nx^\n")
